@@ -30,7 +30,6 @@
 #include "gen/suite.hpp"
 #include "hg/fixed.hpp"
 #include "ml/multilevel.hpp"
-#include "ml/parallel.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -124,41 +123,6 @@ Metric run_multilevel(const gen::GeneratedCircuit& circuit, int starts,
     m.cut = best_cut;
     m.moves = moves;
     m.passes = passes;
-  }
-  m.moves_per_sec =
-      m.seconds > 0.0 ? static_cast<double>(m.moves) / m.seconds : 0.0;
-  return m;
-}
-
-/// One start of the deterministic parallel pipeline (ml/parallel.hpp),
-/// called directly so --threads=1 measures the *same* algorithm executed
-/// serially — the honest denominator for parallel speedup. Cut, moves and
-/// passes are identical for every thread count (that is the pipeline's
-/// determinism contract); only seconds may differ.
-Metric run_parallel_pipeline(const gen::GeneratedCircuit& circuit, int threads,
-                             int repeats, double budget_seconds) {
-  const hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
-  const auto balance =
-      part::BalanceConstraint::relative(circuit.graph, 2, 2.0);
-
-  Metric m;
-  m.seconds = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < repeats; ++rep) {
-    util::Deadline deadline;
-    ml::MultilevelConfig config;
-    config.parallel.threads = threads;
-    if (budget_seconds > 0.0) {
-      deadline = util::Deadline::after_seconds(budget_seconds);
-      config.deadline = &deadline;
-    }
-    util::Timer timer;
-    const auto result = ml::run_parallel_multilevel(circuit.graph, fixed,
-                                                    balance, 0xBE9C, config);
-    m.seconds = std::min(m.seconds, timer.seconds());
-    m.cut = result.cut;
-    m.moves = result.total_moves;
-    m.passes = result.total_passes;
-    m.truncated |= result.truncated;
   }
   m.moves_per_sec =
       m.seconds > 0.0 ? static_cast<double>(m.moves) / m.seconds : 0.0;
@@ -393,7 +357,7 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.get_int("starts", smoke ? 2 : 8));
   const int repeats =
       static_cast<int>(cli.get_int("repeats", smoke ? 1 : 3));
-  // Shared-memory threads for the ml_parstart_* / ml_pipeline_* scenarios.
+  // Shared-memory threads for the ml_parstart_* scenario.
   // The serial scenarios above ignore it, so their numbers stay comparable
   // across BENCH files regardless of this flag. Recorded in the header so a
   // BENCH file is self-describing.
@@ -459,12 +423,6 @@ int main(int argc, char** argv) {
   results.emplace_back(
       "ml_parstart_ibm01",
       run_parallel_multistart(ibm01, starts, threads, repeats, budget));
-  fixedpart::obs::log_info("bench", "parallel pipeline (ibm01/ibm03)",
-                           {{"threads", threads}});
-  results.emplace_back("ml_pipeline_ibm01",
-                       run_parallel_pipeline(ibm01, threads, repeats, budget));
-  results.emplace_back("ml_pipeline_ibm03",
-                       run_parallel_pipeline(ibm03, threads, repeats, budget));
 
   // Scraped before the (optional) traced extra run below, so the embedded
   // "metrics" section covers exactly the timed measurements above —

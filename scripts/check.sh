@@ -20,13 +20,26 @@
 #
 # Usage: scripts/check.sh [plain|asan|tsan|obsoff|large ...] (default:
 # plain asan tsan obsoff)
-# Build trees land in build-check-<config>/ at the repo root.
+# Build trees land in build-check-<config>/ at the repo root. Inside a git
+# checkout the script first fails if any generated tree (build*/ or
+# .bench_build/) is tracked, so build output is never committed.
 set -euo pipefail
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 jobs=$(nproc 2>/dev/null || echo 4)
 configs=("$@")
 [ ${#configs[@]} -gt 0 ] || configs=(plain asan tsan obsoff)
+
+if git -C "$repo" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  tracked=$(git -C "$repo" ls-files -- ':(glob)**/build*/**' \
+    ':(glob)**/.bench_build/**' | sed -n 1,5p)
+  if [ -n "$tracked" ]; then
+    echo "FAIL: generated build trees are tracked by git:" >&2
+    echo "$tracked" >&2
+    echo "(git rm -r --cached them; .gitignore lists build*/)" >&2
+    exit 1
+  fi
+fi
 
 run_config() {
   local name=$1

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "ml/parallel.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "part/feasibility.hpp"
@@ -43,15 +42,6 @@ MultilevelPartitioner::MultilevelPartitioner(
 
 MultilevelResult MultilevelPartitioner::run(
     util::Rng& rng, const MultilevelConfig& config) const {
-  if (config.parallel.threads > 1) {
-    // The parallel pipeline (src/ml/parallel.cpp) is a different — itself
-    // deterministic — algorithm; threads == 1 stays on the serial path
-    // below, which is the bit-exactness oracle for every existing test
-    // and benchmark. One rng.next() seeds the whole parallel run, so the
-    // caller's stream advances the same way regardless of thread count.
-    return run_parallel_multilevel(*graph_, *fixed_, *balance_, rng.next(),
-                                   config);
-  }
   util::Timer timer;
   MultilevelResult result;
   if (config.preflight) {
@@ -269,13 +259,17 @@ MultilevelResult MultilevelPartitioner::best_of_parallel(
 
   std::vector<MultilevelResult> results(static_cast<std::size_t>(starts));
   std::atomic<bool> truncated{false};
-  // Starts run on the shared worker pool (or the one in config.parallel)
-  // instead of per-call std::threads: total process concurrency stays
-  // bounded by the pool size however many callers fan out at once, and
-  // the pool's section cap enforces this call's `threads` budget. A
-  // worker exception (preflight InfeasibleError, bad_alloc, ...) aborts
-  // the remaining starts (their slots keep the empty default result) and
-  // parallel_for rethrows the first one here.
+  // The trace context is thread-local: every start re-pushes the caller's,
+  // or starts claimed by pool workers would record their engine spans
+  // outside its buffer and trace id.
+  const obs::TraceContext trace = obs::ScopedTraceContext::current();
+  // Starts run on the shared worker pool instead of per-call std::threads:
+  // total process concurrency stays bounded by the pool size however many
+  // callers fan out at once, and the pool's section cap enforces this
+  // call's `threads` budget. A worker exception (preflight
+  // InfeasibleError, bad_alloc, ...) aborts the remaining starts (their
+  // slots keep the empty default result) and parallel_for rethrows the
+  // first one here.
   const std::function<void(std::int64_t)> body = [&](std::int64_t s) {
     // Start 0 always runs (run() itself degrades under the deadline);
     // later starts are skipped once the budget is gone. Skipped slots
@@ -284,14 +278,12 @@ MultilevelResult MultilevelPartitioner::best_of_parallel(
       truncated.store(true, std::memory_order_relaxed);
       return;
     }
+    const obs::ScopedTraceContext scope(trace.trace_id, trace.buffer);
     MultilevelResult& r = results[static_cast<std::size_t>(s)];
     r = run(streams[static_cast<std::size_t>(s)], config);
     if (r.truncated) truncated.store(true, std::memory_order_relaxed);
   };
-  util::ThreadPool& pool = config.parallel.pool != nullptr
-                               ? *config.parallel.pool
-                               : util::ThreadPool::shared();
-  pool.parallel_for(starts, threads, body);
+  util::ThreadPool::shared().parallel_for(starts, threads, body);
 
   // Start 0 always ran, so it is the fallback best (and the only
   // candidate on a zero-vertex graph, where every assignment is empty).

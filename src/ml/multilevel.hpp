@@ -16,44 +16,9 @@
 #include "util/deadline.hpp"
 #include "util/rng.hpp"
 
-namespace fixedpart::util {
-class ThreadPool;
-}
-
 namespace fixedpart::ml {
 
 using hg::PartitionId;
-
-/// Shared-memory parallelism inside one partition job (docs/PARALLELISM.md).
-/// `threads` is the only semantically visible knob, and only as a binary:
-/// threads == 1 keeps the bit-exact serial seed path (the oracle every
-/// differential test compares against); threads > 1 dispatches run() to the
-/// deterministic parallel pipeline (src/ml/parallel.hpp), whose output is
-/// bit-identical for every thread count, pool size and grain — those affect
-/// wall-clock only.
-struct ParallelConfig {
-  /// Maximum concurrency of one run: the calling thread plus up to
-  /// threads - 1 workers borrowed from the pool. 1 = serial seed path.
-  int threads = 1;
-  /// Vertices per work chunk in parallel loops. Performance-only: chunk
-  /// boundaries are derived from the vertex count, never the thread count,
-  /// and every chunk's output is a pure function of its range.
-  VertexId grain = 4096;
-  /// Cap on refinement rounds per level (each round: parallel gain
-  /// proposals over boundary shards, then a sequential arbiter applies the
-  /// best gain-ordered prefix that keeps balance). Rounds stop early at
-  /// the first round that keeps no move.
-  int max_rounds = 48;
-  /// Levels with at most this many movable vertices refine with the serial
-  /// FM engine instead of rounds (deterministic: per-level RNG streams).
-  /// Small levels are cheap and FM's per-move gain updates beat the round
-  /// model's stale gains there; large levels get the parallel rounds.
-  VertexId fm_polish_max_movable = 2048;
-  /// Worker pool to borrow from (not owned; must outlive the run). nullptr
-  /// uses the process-wide util::ThreadPool::shared(), which is what caps
-  /// total concurrency when many jobs run parallel sections at once.
-  util::ThreadPool* pool = nullptr;
-};
 
 struct MultilevelConfig {
   /// Multilevel refinement has cheap restarts (multistart + many levels),
@@ -69,11 +34,6 @@ struct MultilevelConfig {
   /// Stop coarsening when a level shrinks by less than this factor.
   double stagnation_ratio = 0.95;
   MatchingConfig matching;
-  /// Shared-memory parallelism. threads == 1 (default) is the bit-exact
-  /// serial seed path; threads > 1 routes run() to the deterministic
-  /// parallel pipeline (ml/parallel.hpp). best_of_parallel borrows workers
-  /// from `parallel.pool` either way.
-  ParallelConfig parallel;
   /// Independent random initial solutions tried at the coarsest level
   /// (refined; best kept). Cheap because the coarsest graph is tiny.
   int coarse_starts = 4;
@@ -128,7 +88,10 @@ class MultilevelPartitioner {
 
   /// Parallel multistart: each start gets an independent RNG stream forked
   /// from `seed` before any work begins, so the result is deterministic
-  /// for a given seed regardless of `threads`. `seconds` is wall-clock.
+  /// for a given seed regardless of `threads`. Starts run on workers
+  /// borrowed from util::ThreadPool::shared() (at most `threads` at once,
+  /// the caller included) under the caller's trace context, so their
+  /// spans land in the caller's buffer. `seconds` is wall-clock.
   MultilevelResult best_of_parallel(int starts, int threads,
                                     std::uint64_t seed,
                                     const MultilevelConfig& config) const;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <span>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fixedpart::part {
 
@@ -208,35 +206,6 @@ Weight FmBipartitioner::run_pass(PartitionState& state, util::Rng& rng,
   order.assign(movable_.begin(), movable_.end());
   rng.shuffle(std::span<VertexId>(order));
 
-  // Parallel gain initialization (config.threads > 1): boundary movables'
-  // true gains are computed into the gain cache by disjoint shards of the
-  // movable list — pure reads of the frozen pass-start state — and the
-  // serial insertion phases below read the cache instead of scanning
-  // pins. The cache holds exactly the values the inline scans would
-  // compute, so both modes replay bit-identical trajectories.
-  const bool pregain = config.threads > 1;
-  auto& gain_cache = scratch_->gain_scratch_;
-  if (pregain || policy_ == SelectionPolicy::kClip) {
-    gain_cache.resize(static_cast<std::size_t>(graph_->num_vertices()));
-  }
-  if (pregain) {
-    constexpr std::int64_t kGrain = 2048;
-    const auto n_mov = static_cast<std::int64_t>(movable_.size());
-    const std::function<void(std::int64_t)> shard = [&](std::int64_t c) {
-      const std::int64_t lo = c * kGrain;
-      const std::int64_t hi = std::min(n_mov, lo + kGrain);
-      for (std::int64_t i = lo; i < hi; ++i) {
-        const VertexId v = movable_[static_cast<std::size_t>(i)];
-        if (state.is_boundary(v)) gain_cache[v] = true_gain(state, v);
-      }
-    };
-    util::ThreadPool::shared().parallel_for((n_mov + kGrain - 1) / kGrain,
-                                            config.threads, shard);
-  }
-  const auto initial_gain = [&](VertexId v) {
-    return pregain ? gain_cache[v] : true_gain(state, v);
-  };
-
   std::int32_t boundary_count = 0;
   if (policy_ == SelectionPolicy::kClip) {
     // CLIP seeds every key at zero, so bucket order IS the tie-break for
@@ -245,10 +214,11 @@ Weight FmBipartitioner::run_pass(PartitionState& state, util::Rng& rng,
     // and then follows update gains — the cluster signal (Dutt-Deng).
     // Interior vertices get their gain from the precomputed static key
     // instead of a pin scan.
-    auto& gain = gain_cache;
+    auto& gain = scratch_->gain_scratch_;
+    gain.resize(static_cast<std::size_t>(graph_->num_vertices()));
     for (VertexId v : order) {
       if (state.is_boundary(v)) {
-        gain[v] = initial_gain(v);
+        gain[v] = true_gain(state, v);
         ++boundary_count;
       } else {
         gain[v] = interior_key_[v];
@@ -276,7 +246,7 @@ Weight FmBipartitioner::run_pass(PartitionState& state, util::Rng& rng,
     for (VertexId v : order) {
       if (!state.is_boundary(v)) continue;
       ++boundary_count;
-      const Weight g = initial_gain(v);
+      const Weight g = true_gain(state, v);
       if (fifo) {
         dyn[state.part_of(v)].insert_back(v, g);
       } else {

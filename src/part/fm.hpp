@@ -77,16 +77,6 @@ struct FmConfig {
   /// the selection signal, which requires every vertex) but still uses the
   /// boundary set to compute initial gains cheaply.
   bool boundary = true;
-  /// Parallel initial-gain computation: total concurrency (the calling
-  /// thread plus workers borrowed from util::ThreadPool::shared()) used to
-  /// fill the per-pass gain cache over disjoint shards of the movable
-  /// list. 1 = serial (the default). Gains are pure reads of the frozen
-  /// pass-start state and the cache holds exactly the values the serial
-  /// pin scans would produce, so refinement trajectories are bit-identical
-  /// for every value — this knob is wall-clock only. The move loop itself
-  /// stays serial (FM is inherently sequential; the parallel round model
-  /// in src/ml/parallel.hpp is the alternative for large levels).
-  int threads = 1;
   /// Optional wall-clock budget (not owned; must outlive the refinement;
   /// nullptr = unlimited). Checked between moves and between passes: on
   /// expiry the current pass ends early, rolls back to its best prefix as

@@ -13,11 +13,7 @@ namespace {
 
 bool vertex_fits(const hg::Hypergraph& g, const BalanceConstraint& balance,
                  const PartitionState& state, VertexId v, PartitionId p) {
-  Weight add[8];
-  const int nr = g.num_resources();
-  for (int r = 0; r < nr; ++r) add[r] = g.vertex_weight(v, r);
-  return balance.fits(state.part_weight_vector(p),
-                      std::span<const Weight>(add, nr), p);
+  return balance.fits(state.part_weight_vector(p), g.vertex_weights(v), p);
 }
 
 }  // namespace
@@ -30,9 +26,6 @@ bool random_feasible_assignment(PartitionState& state,
   const PartitionId k = state.num_parts();
   if (fixed.num_parts() != k || balance.num_parts() != k) {
     throw std::invalid_argument("random_feasible_assignment: part mismatch");
-  }
-  if (g.num_resources() > 8) {
-    throw std::invalid_argument("random_feasible_assignment: >8 resources");
   }
   state.clear();
 

@@ -28,9 +28,6 @@ KwayFmRefiner::KwayFmRefiner(const hg::Hypergraph& graph,
   if (fixed.num_vertices() != graph.num_vertices()) {
     throw std::invalid_argument("KwayFmRefiner: fixed size mismatch");
   }
-  if (graph.num_resources() > 8) {
-    throw std::invalid_argument("KwayFmRefiner: more than 8 resources");
-  }
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     if (std::popcount(fixed.allowed_mask(v)) >= 2) movable_.push_back(v);
   }
@@ -38,11 +35,8 @@ KwayFmRefiner::KwayFmRefiner(const hg::Hypergraph& graph,
 
 bool KwayFmRefiner::feasible(const PartitionState& state, VertexId v,
                              PartitionId to) const {
-  Weight add[8];
-  const int nr = graph_->num_resources();
-  for (int r = 0; r < nr; ++r) add[r] = graph_->vertex_weight(v, r);
   return balance_->fits(state.part_weight_vector(to),
-                        std::span<const Weight>(add, nr), to);
+                        graph_->vertex_weights(v), to);
 }
 
 Weight KwayFmRefiner::move_gain(const PartitionState& state, VertexId v,

@@ -39,14 +39,15 @@ struct JobSpec {
   /// Engine knobs.
   int starts = 1;                ///< multistart runs, best kept
   /// Shared-memory threads one job may use for its multistart. 1 (the
-  /// default) keeps the serial protocol (best_of, the PR-5 seed path);
-  /// > 1 switches to the parallel multistart protocol (best_of_parallel
-  /// on the process-wide util::ThreadPool), whose result depends only on
-  /// (starts, seed) — every value > 1 yields the same outcome, only
-  /// wall-clock changes. Total process concurrency stays bounded by
-  /// executor workers + pool size however large this knob is, because
-  /// jobs borrow workers from one shared pool instead of spawning
-  /// threads (docs/PARALLELISM.md).
+  /// default) runs the starts one after another on one RNG (best_of);
+  /// > 1 fans them out over the process-wide util::ThreadPool
+  /// (best_of_parallel), one pre-forked RNG stream per start. Both run
+  /// the same serial multilevel engine per start, but the stream
+  /// derivation differs, so 1 and > 1 can give different cuts; every
+  /// value > 1 yields the same outcome, only wall-clock changes. Total
+  /// process concurrency stays bounded by executor workers + pool size
+  /// however large this knob is, because jobs borrow workers from one
+  /// shared pool instead of spawning threads (docs/PARALLELISM.md).
   int threads_per_job = 1;
   std::uint64_t seed = 1;        ///< RNG seed; fully determines the result
   double tolerance_pct = 2.0;    ///< relative balance tolerance

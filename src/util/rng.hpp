@@ -61,11 +61,11 @@ class Rng {
   /// arguments, so any thread can derive stream i independently — no
   /// parent state to advance, no ordering between derivations — and the
   /// resulting sequence is identical regardless of which thread derives
-  /// it, when, or how many threads exist. This is the seed-splitting
-  /// discipline of the parallel pipeline (docs/PARALLELISM.md): every
-  /// parallel work item that needs randomness derives stream(seed, item)
-  /// and never shares a generator. Distinct (seed, stream) pairs map to
-  /// decorrelated states (SplitMix64 over a mixed 64-bit combination).
+  /// it, when, or how many threads exist. The streamed instance generator
+  /// (gen/stream_gen.hpp) derives one stream per cell position, cell area
+  /// and net this way, so it never shares a generator. Distinct (seed,
+  /// stream) pairs map to decorrelated states (SplitMix64 over a mixed
+  /// 64-bit combination).
   static Rng stream(std::uint64_t seed, std::uint64_t stream);
 
   /// Fisher-Yates shuffle of a span.

@@ -1,11 +1,10 @@
 #pragma once
-// A reusable shared-memory worker pool for the parallel multilevel
-// pipeline (docs/PARALLELISM.md). One process-wide pool is shared by every
-// parallel section — multistart workers, coarsening proposal chunks,
-// refinement gain shards — so concurrent jobs divide the machine instead
-// of oversubscribing it: total runnable threads is bounded by the pool
-// size plus the number of caller threads, never by the *sum* of each
-// call site's requested width.
+// A reusable shared-memory worker pool (docs/PARALLELISM.md). One
+// process-wide pool is shared by every parallel section — today the
+// multistart starts of MultilevelPartitioner::best_of_parallel — so
+// concurrent jobs divide the machine instead of oversubscribing it: total
+// runnable threads is bounded by the pool size plus the number of caller
+// threads, never by the *sum* of each call site's requested width.
 //
 // The only primitive is parallel_for: the calling thread always
 // participates (so a parallel section inside a pool worker — nested
@@ -14,7 +13,8 @@
 // only up to its max_threads cap. Work items are claimed dynamically from
 // a shared atomic counter; callers that need deterministic output must
 // make each item's result a pure function of its index, which is exactly
-// the discipline the deterministic parallel pipeline follows.
+// the discipline best_of_parallel follows (one pre-forked RNG stream per
+// start).
 
 #include <atomic>
 #include <condition_variable>

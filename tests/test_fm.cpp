@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "hg/builder.hpp"
+#include "ml/multilevel.hpp"
 #include "part/initial.hpp"
+#include "part/kway_fm.hpp"
 #include "util/rng.hpp"
 
 namespace fixedpart::part {
@@ -257,13 +260,16 @@ INSTANTIATE_TEST_SUITE_P(
                                          SelectionPolicy::kFifo,
                                          SelectionPolicy::kClip)));
 
-TEST(FmBipartitioner, MultiResourceBalanceRespected) {
-  util::Rng gen(16);
-  hg::HypergraphBuilder b(2);
+/// Random 3-pin netlist whose vertices carry `resources` weights each.
+hg::Hypergraph multi_resource_graph(int resources, util::Rng& gen) {
+  hg::HypergraphBuilder b(resources);
+  std::vector<Weight> w(static_cast<std::size_t>(resources));
   for (int i = 0; i < 60; ++i) {
-    const Weight w[2] = {1 + static_cast<Weight>(gen.next_below(3)),
-                         1 + static_cast<Weight>(gen.next_below(5))};
-    b.add_vertex(std::span<const Weight>(w, 2));
+    for (int r = 0; r < resources; ++r) {
+      w[static_cast<std::size_t>(r)] =
+          1 + static_cast<Weight>(gen.next_below(r % 2 == 0 ? 3 : 5));
+    }
+    b.add_vertex(std::span<const Weight>(w));
   }
   for (int e = 0; e < 120; ++e) {
     std::vector<hg::VertexId> pins;
@@ -272,22 +278,60 @@ TEST(FmBipartitioner, MultiResourceBalanceRespected) {
     }
     b.add_net(pins);
   }
-  const hg::Hypergraph g = b.build();
-  const hg::FixedAssignment fixed(g.num_vertices(), 2);
-  const auto balance = BalanceConstraint::relative(g, 2, 15.0);
-  FmBipartitioner fm(g, fixed, balance);
-  PartitionState state(g, 2);
-  util::Rng rng(17);
-  random_feasible_assignment(state, fixed, balance, rng);
-  const Weight initial = state.cut();
-  fm.refine(state, rng, FmConfig{});
-  EXPECT_LE(state.cut(), initial);
-  // Both resources stay within their capacities.
+  return b.build();
+}
+
+/// Every resource of every part within its upper capacity.
+void expect_within_capacity(const BalanceConstraint& balance,
+                            const PartitionState& state) {
   EXPECT_TRUE(balance.satisfied(state.part_weights()));
-  for (int r = 0; r < 2; ++r) {
-    for (hg::PartitionId p = 0; p < 2; ++p) {
+  for (int r = 0; r < balance.num_resources(); ++r) {
+    for (hg::PartitionId p = 0; p < balance.num_parts(); ++p) {
       EXPECT_LE(state.part_weight(p, r), balance.max_weight(p, r));
     }
+  }
+}
+
+TEST(FmBipartitioner, MultiResourceBalanceRespected) {
+  // The loaders accept up to 1024 resources, so every engine must too:
+  // 9 is past any small fixed-size per-vertex scratch.
+  for (const int resources : {2, 9}) {
+    SCOPED_TRACE(resources);
+    util::Rng gen(16);
+    const hg::Hypergraph g = multi_resource_graph(resources, gen);
+    const hg::FixedAssignment fixed(g.num_vertices(), 2);
+    const auto balance = BalanceConstraint::relative(g, 2, 15.0);
+    FmBipartitioner fm(g, fixed, balance);
+    PartitionState state(g, 2);
+    util::Rng rng(17);
+    random_feasible_assignment(state, fixed, balance, rng);
+    const Weight initial = state.cut();
+    fm.refine(state, rng, FmConfig{});
+    EXPECT_LE(state.cut(), initial);
+    expect_within_capacity(balance, state);
+
+    // The same instance through the multilevel pipeline (coarsening
+    // enabled at this size) ...
+    ml::MultilevelConfig ml_config;
+    ml_config.coarsest_size = 16;
+    const auto result =
+        ml::MultilevelPartitioner(g, fixed, balance).run(rng, ml_config);
+    PartitionState ml_state(g, 2);
+    for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
+      ml_state.assign(v, result.assignment[static_cast<std::size_t>(v)]);
+    }
+    EXPECT_EQ(ml_state.cut(), result.cut);
+    expect_within_capacity(balance, ml_state);
+
+    // ... and through k-way FM at k = 3.
+    const hg::FixedAssignment fixed3(g.num_vertices(), 3);
+    const auto balance3 = BalanceConstraint::relative(g, 3, 15.0);
+    PartitionState kway_state(g, 3);
+    random_feasible_assignment(kway_state, fixed3, balance3, rng);
+    const Weight kway_initial = kway_state.cut();
+    KwayFmRefiner(g, fixed3, balance3).refine(kway_state, rng, KwayConfig{});
+    EXPECT_LE(kway_state.cut(), kway_initial);
+    expect_within_capacity(balance3, kway_state);
   }
 }
 

@@ -1,37 +1,33 @@
-// Deterministic shared-memory parallel multilevel (docs/PARALLELISM.md).
-// The load-bearing property under test is *scheduling-independent
-// determinism*: thread count, pool size and grain must never change a
-// result, only wall-clock. Every test here therefore compares runs across
-// pool/thread/grain configurations for bit-identity, plus the usual
-// feasibility and fixed-vertex invariants. The whole binary carries the
-// `parallel` ctest label so it can be certified under TSan on its own
+// Shared-memory parallelism inside one partition job (docs/PARALLELISM.md):
+// the util::ThreadPool primitive and the parallel multistart built on it
+// (MultilevelPartitioner::best_of_parallel). The load-bearing property is
+// *scheduling-independent determinism*: the thread count must never change
+// a result, only wall-clock. The whole binary carries the `parallel` ctest
+// label so it can be certified under TSan on its own
 // (FIXEDPART_SANITIZE=thread; docs/ROBUSTNESS.md).
-
-#include "ml/parallel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <set>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "gen/netlist_gen.hpp"
 #include "hg/fixed.hpp"
 #include "ml/multilevel.hpp"
+#include "obs/trace.hpp"
 #include "part/balance.hpp"
-#include "part/fm.hpp"
-#include "part/initial.hpp"
-#include "part/partition.hpp"
-#include "util/deadline.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fixedpart::ml {
 namespace {
 
-gen::GeneratedCircuit small_circuit(std::uint64_t seed = 7) {
+gen::GeneratedCircuit small_circuit() {
   gen::CircuitSpec spec;
   spec.name = "test";
   spec.num_cells = 600;
@@ -39,17 +35,8 @@ gen::GeneratedCircuit small_circuit(std::uint64_t seed = 7) {
   spec.num_pads = 24;
   spec.num_macros = 1;
   spec.macro_area_pct = 2.0;
-  spec.seed = seed;
+  spec.seed = 7;
   return gen::generate_circuit(spec);
-}
-
-std::vector<hg::PartitionId> replay(const hg::Hypergraph& g,
-                                    const MultilevelResult& result,
-                                    part::PartitionState& state) {
-  for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
-    state.assign(v, result.assignment[v]);
-  }
-  return result.assignment;
 }
 
 // --- ThreadPool ----------------------------------------------------------
@@ -116,231 +103,6 @@ TEST(ThreadPool, NestedParallelForCompletes) {
   EXPECT_EQ(total.load(), 16);
 }
 
-// --- parallel coarsening -------------------------------------------------
-
-TEST(ParallelMatching, BitIdenticalForEveryPoolSizeAndGrain) {
-  const auto circuit = small_circuit();
-  const hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
-  const MatchingConfig matching;
-
-  util::ThreadPool serial(0);
-  util::ThreadPool narrow(1);
-  util::ThreadPool wide(7);
-  struct Case {
-    util::ThreadPool* pool;
-    int threads;
-    VertexId grain;
-  };
-  const Case cases[] = {{&serial, 2, 4096}, {&narrow, 2, 4096},
-                        {&wide, 8, 4096},   {&wide, 8, 64},
-                        {&wide, 3, 17}};
-
-  std::vector<VertexId> reference;
-  for (const Case& c : cases) {
-    ParallelConfig parallel;
-    parallel.pool = c.pool;
-    parallel.threads = c.threads;
-    parallel.grain = c.grain;
-    const auto match = parallel_heavy_edge_matching(circuit.graph, fixed,
-                                                    matching, parallel);
-    if (reference.empty()) {
-      reference = match;
-    } else {
-      EXPECT_EQ(match, reference);
-    }
-  }
-
-  // Sanity on the reference itself: symmetric, and it matched something.
-  ASSERT_EQ(reference.size(),
-            static_cast<std::size_t>(circuit.graph.num_vertices()));
-  int matched = 0;
-  for (hg::VertexId v = 0; v < circuit.graph.num_vertices(); ++v) {
-    EXPECT_EQ(reference[static_cast<std::size_t>(
-                  reference[static_cast<std::size_t>(v)])],
-              v);
-    matched += (reference[static_cast<std::size_t>(v)] != v);
-  }
-  EXPECT_GT(matched, circuit.graph.num_vertices() / 4);
-}
-
-TEST(ParallelMatching, NeverMatchesIncompatibleFixedVertices) {
-  const auto circuit = small_circuit(11);
-  hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
-  util::Rng pick(3);
-  for (hg::VertexId v = 0; v < circuit.graph.num_vertices(); v += 3) {
-    fixed.fix(v, static_cast<hg::PartitionId>(pick.next_below(2)));
-  }
-  ParallelConfig parallel;
-  parallel.threads = 4;
-  util::ThreadPool pool(3);
-  parallel.pool = &pool;
-  const auto match = parallel_heavy_edge_matching(circuit.graph, fixed,
-                                                  MatchingConfig{}, parallel);
-  for (hg::VertexId v = 0; v < circuit.graph.num_vertices(); ++v) {
-    const VertexId u = match[static_cast<std::size_t>(v)];
-    if (u == v) continue;
-    // A merged cluster must still have at least one allowed part.
-    EXPECT_NE(fixed.allowed_mask(v) & fixed.allowed_mask(u), 0u);
-  }
-}
-
-TEST(ParallelMatching, ExpiredDeadlineYieldsValidPartialMatching) {
-  // ISSUE 7 regression: the matching rounds must honour the deadline —
-  // an already-expired budget returns promptly with a matching that is
-  // still well-formed (symmetric, fixed-compatible), just sparser
-  // (possibly all-singleton). Before the fix the rounds ran to
-  // completion regardless, so a server budget could not bound them.
-  const auto circuit = small_circuit();
-  const hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
-  ParallelConfig parallel;
-  parallel.threads = 4;
-  util::ThreadPool pool(3);
-  parallel.pool = &pool;
-  const auto expired = util::Deadline::after_seconds(-1.0);
-  ASSERT_TRUE(expired.expired());
-  const auto match = parallel_heavy_edge_matching(
-      circuit.graph, fixed, MatchingConfig{}, parallel, nullptr, &expired);
-  ASSERT_EQ(match.size(),
-            static_cast<std::size_t>(circuit.graph.num_vertices()));
-  for (hg::VertexId v = 0; v < circuit.graph.num_vertices(); ++v) {
-    EXPECT_EQ(match[static_cast<std::size_t>(
-                  match[static_cast<std::size_t>(v)])],
-              v);
-  }
-  // A live deadline with the same config must be a no-op: bit-identical
-  // to the deadline-free reference.
-  const auto generous = util::Deadline::after_seconds(3600.0);
-  const auto with = parallel_heavy_edge_matching(
-      circuit.graph, fixed, MatchingConfig{}, parallel, nullptr, &generous);
-  const auto without = parallel_heavy_edge_matching(
-      circuit.graph, fixed, MatchingConfig{}, parallel);
-  EXPECT_EQ(with, without);
-}
-
-// --- full pipeline -------------------------------------------------------
-
-MultilevelResult pipeline_run(const gen::GeneratedCircuit& circuit,
-                              const hg::FixedAssignment& fixed,
-                              const part::BalanceConstraint& balance,
-                              int threads, VertexId grain = 4096,
-                              util::ThreadPool* pool = nullptr) {
-  MultilevelConfig config;
-  config.parallel.threads = threads;
-  config.parallel.grain = grain;
-  config.parallel.pool = pool;
-  return run_parallel_multilevel(circuit.graph, fixed, balance, 0xBE9C,
-                                 config);
-}
-
-TEST(ParallelPipeline, BitIdenticalAcrossThreadCountsAndGrains) {
-  const auto circuit = small_circuit();
-  const hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
-  const auto balance =
-      part::BalanceConstraint::relative(circuit.graph, 2, 2.0);
-
-  util::ThreadPool zero(0);
-  const auto reference = pipeline_run(circuit, fixed, balance, 1);
-  const auto two = pipeline_run(circuit, fixed, balance, 2);
-  const auto eight = pipeline_run(circuit, fixed, balance, 8);
-  const auto fine_grain = pipeline_run(circuit, fixed, balance, 8, 64);
-  const auto no_workers =
-      pipeline_run(circuit, fixed, balance, 8, 4096, &zero);
-
-  EXPECT_EQ(two.cut, reference.cut);
-  EXPECT_EQ(two.assignment, reference.assignment);
-  EXPECT_EQ(eight.assignment, reference.assignment);
-  EXPECT_EQ(fine_grain.assignment, reference.assignment);
-  EXPECT_EQ(no_workers.assignment, reference.assignment);
-}
-
-TEST(ParallelPipeline, ProducesFeasibleBipartition) {
-  const auto circuit = small_circuit();
-  const hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
-  const auto balance =
-      part::BalanceConstraint::relative(circuit.graph, 2, 2.0);
-  const auto result = pipeline_run(circuit, fixed, balance, 8);
-
-  ASSERT_EQ(result.assignment.size(),
-            static_cast<std::size_t>(circuit.graph.num_vertices()));
-  part::PartitionState state(circuit.graph, 2);
-  replay(circuit.graph, result, state);
-  EXPECT_EQ(state.cut(), result.cut);
-  EXPECT_TRUE(balance.satisfied(state.part_weights()));
-}
-
-TEST(ParallelPipeline, QualityComparableToSerialOracle) {
-  const auto circuit = small_circuit();
-  const hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
-  const auto balance =
-      part::BalanceConstraint::relative(circuit.graph, 2, 2.0);
-  const auto result = pipeline_run(circuit, fixed, balance, 4);
-
-  util::Rng rng(2);
-  part::PartitionState random_state(circuit.graph, 2);
-  part::random_feasible_assignment(random_state, fixed, balance, rng);
-  EXPECT_LT(result.cut, random_state.cut() / 2);
-}
-
-TEST(ParallelPipeline, RespectsFixedVertices) {
-  const auto circuit = small_circuit();
-  hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
-  util::Rng pick(3);
-  for (hg::VertexId v = 0; v < circuit.graph.num_vertices(); v += 5) {
-    fixed.fix(v, static_cast<hg::PartitionId>(pick.next_below(2)));
-  }
-  const auto balance =
-      part::BalanceConstraint::relative(circuit.graph, 2, 2.0);
-  const auto serial = pipeline_run(circuit, fixed, balance, 1);
-  const auto wide = pipeline_run(circuit, fixed, balance, 8);
-  EXPECT_EQ(wide.assignment, serial.assignment);
-  for (hg::VertexId v = 0; v < circuit.graph.num_vertices(); ++v) {
-    const hg::PartitionId p = fixed.fixed_part(v);
-    if (p != hg::kNoPartition) {
-      EXPECT_EQ(wide.assignment[static_cast<std::size_t>(v)], p);
-    }
-  }
-}
-
-TEST(ParallelPipeline, RunDispatchesWhenThreadsExceedOne) {
-  const auto circuit = small_circuit();
-  const hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
-  const auto balance =
-      part::BalanceConstraint::relative(circuit.graph, 2, 2.0);
-  const MultilevelPartitioner partitioner(circuit.graph, fixed, balance);
-
-  MultilevelConfig config;
-  config.parallel.threads = 2;
-  util::Rng via_run_rng(11);
-  const auto via_run = partitioner.run(via_run_rng, config);
-  // run() seeds the pipeline with rng.next(); replaying that derivation
-  // must reproduce the dispatched result exactly.
-  util::Rng replay_rng(11);
-  const auto direct = run_parallel_multilevel(circuit.graph, fixed, balance,
-                                              replay_rng.next(), config);
-  EXPECT_EQ(via_run.cut, direct.cut);
-  EXPECT_EQ(via_run.assignment, direct.assignment);
-}
-
-TEST(ParallelPipeline, ExpiredDeadlineStillReturnsCompleteAssignment) {
-  const auto circuit = small_circuit();
-  const hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
-  const auto balance =
-      part::BalanceConstraint::relative(circuit.graph, 2, 2.0);
-  const util::Deadline deadline = util::Deadline::after_seconds(0.0);
-  MultilevelConfig config;
-  config.parallel.threads = 4;
-  config.deadline = &deadline;
-  const auto result = run_parallel_multilevel(circuit.graph, fixed, balance,
-                                              0xBE9C, config);
-  EXPECT_TRUE(result.truncated);
-  ASSERT_EQ(result.assignment.size(),
-            static_cast<std::size_t>(circuit.graph.num_vertices()));
-  part::PartitionState state(circuit.graph, 2);
-  replay(circuit.graph, result, state);
-  EXPECT_EQ(state.cut(), result.cut);
-  EXPECT_TRUE(balance.satisfied(state.part_weights()));
-}
-
 // --- parallel multistart -------------------------------------------------
 
 TEST(BestOfParallel, ThreadCountNeverChangesTheResult) {
@@ -350,22 +112,16 @@ TEST(BestOfParallel, ThreadCountNeverChangesTheResult) {
       part::BalanceConstraint::relative(circuit.graph, 2, 2.0);
   const MultilevelPartitioner partitioner(circuit.graph, fixed, balance);
 
-  util::ThreadPool zero(0);
-  MultilevelConfig pooled;
-  pooled.parallel.pool = &zero;
-
   const auto one =
       partitioner.best_of_parallel(4, 1, 0xD00D, MultilevelConfig{});
   const auto two =
       partitioner.best_of_parallel(4, 2, 0xD00D, MultilevelConfig{});
   const auto eight =
       partitioner.best_of_parallel(4, 8, 0xD00D, MultilevelConfig{});
-  const auto no_workers = partitioner.best_of_parallel(4, 8, 0xD00D, pooled);
 
   EXPECT_EQ(two.cut, one.cut);
   EXPECT_EQ(two.assignment, one.assignment);
   EXPECT_EQ(eight.assignment, one.assignment);
-  EXPECT_EQ(no_workers.assignment, one.assignment);
 }
 
 TEST(BestOfParallel, NeverWorseThanTheSameStreamsRunSerially) {
@@ -389,36 +145,31 @@ TEST(BestOfParallel, NeverWorseThanTheSameStreamsRunSerially) {
   EXPECT_EQ(best.cut, manual_best);
 }
 
-// --- parallel FM gain initialization -------------------------------------
-
-TEST(FmParallelGainInit, BitIdenticalToSerialInit) {
+#if FIXEDPART_OBS_ENABLED
+TEST(BestOfParallel, StartsOnPoolWorkersRecordIntoCallerTraceContext) {
+  // The trace context is thread-local, so a start claimed by a pool worker
+  // only reaches the caller's buffer if best_of_parallel re-pushes the
+  // context there. Every start emits exactly one "ml.initial" span.
   const auto circuit = small_circuit();
   const hg::FixedAssignment fixed(circuit.graph.num_vertices(), 2);
   const auto balance =
       part::BalanceConstraint::relative(circuit.graph, 2, 2.0);
+  const MultilevelPartitioner partitioner(circuit.graph, fixed, balance);
 
-  auto refine_with = [&](int threads) {
-    part::PartitionState state(circuit.graph, 2);
-    util::Rng rng(0xFEED);
-    part::random_feasible_assignment(state, fixed, balance, rng,
-                                     /*require_feasible=*/false);
-    part::FmBipartitioner fm(circuit.graph, fixed, balance);
-    part::FmConfig config;
-    config.threads = threads;
-    const auto result = fm.refine(state, rng, config);
-    std::vector<hg::PartitionId> assignment(
-        static_cast<std::size_t>(circuit.graph.num_vertices()));
-    for (hg::VertexId v = 0; v < circuit.graph.num_vertices(); ++v) {
-      assignment[static_cast<std::size_t>(v)] = state.part_of(v);
-    }
-    return std::pair{result.final_cut, assignment};
-  };
-
-  const auto [serial_cut, serial_assignment] = refine_with(1);
-  const auto [parallel_cut, parallel_assignment] = refine_with(4);
-  EXPECT_EQ(parallel_cut, serial_cut);
-  EXPECT_EQ(parallel_assignment, serial_assignment);
+  obs::SpanBuffer buffer;
+  {
+    const obs::ScopedTraceContext context(0x7ACE, &buffer);
+    partitioner.best_of_parallel(4, 4, 0xD00D, MultilevelConfig{});
+  }
+  const auto events = buffer.events();
+  const auto initial = std::count_if(
+      events.begin(), events.end(), [](const obs::TraceEvent& e) {
+        return std::string_view(e.name) == "ml.initial";
+      });
+  EXPECT_EQ(initial, 4);
+  for (const obs::TraceEvent& e : events) EXPECT_EQ(e.trace_id, 0x7ACEu);
 }
+#endif
 
 }  // namespace
 }  // namespace fixedpart::ml
