@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 #include "hg/builder.hpp"
@@ -116,6 +117,10 @@ struct BadInput {
   const char* label;
   const char* text;
 };
+
+// Names the case by its label: the default byte dump would print the two
+// pointers, so the test's CTest name would change from build to build.
+void PrintTo(const BadInput& input, std::ostream* os) { *os << input.label; }
 
 class IoFpbErrors : public ::testing::TestWithParam<BadInput> {};
 

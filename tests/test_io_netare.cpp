@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 #include "hg/builder.hpp"
@@ -82,6 +83,10 @@ struct BadNetD {
   const char* net;
   const char* are;
 };
+
+// Names the case by its label: the default byte dump would print the
+// pointers, so the test's CTest name would change from build to build.
+void PrintTo(const BadNetD& input, std::ostream* os) { *os << input.label; }
 
 class IoNetDErrors : public ::testing::TestWithParam<BadNetD> {};
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "hg/builder.hpp"
@@ -118,6 +119,14 @@ struct KwayParam {
   double cutoff;
   double fixed_fraction;
 };
+
+// Names the case by its fields: the default byte dump would include the
+// uninitialised padding after `parts`, so the test's CTest name would change
+// from build to build.
+void PrintTo(const KwayParam& p, std::ostream* os) {
+  *os << "seed " << p.seed << " parts " << p.parts << " tolerance "
+      << p.tolerance << " cutoff " << p.cutoff << " fixed " << p.fixed_fraction;
+}
 
 class KwayProperty : public ::testing::TestWithParam<KwayParam> {};
 
