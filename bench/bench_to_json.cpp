@@ -430,22 +430,23 @@ int main(int argc, char** argv) {
   const fixedpart::obs::Snapshot metrics_snap =
       fixedpart::obs::Registry::global().scrape();
 
-  // Optional Chrome-trace capture: one extra, untimed multistart run with
-  // the tracer armed, so the timed numbers above stay span-free. Open the
-  // file in chrome://tracing or https://ui.perfetto.dev.
+  // Optional Chrome-trace capture: one extra, untimed multistart run under
+  // a trace context of its own, so the timed numbers above stay span-free.
+  // Open the file in chrome://tracing or https://ui.perfetto.dev.
   if (const auto trace_path = cli.get("trace-out")) {
-    if (!fixedpart::obs::kEnabled) {
-      std::cerr << "bench_to_json: built with FIXEDPART_OBS=OFF; "
-                << *trace_path << " will contain no spans\n";
-    }
     fixedpart::obs::log_info("bench",
                              "traced multilevel multistart (untimed)");
-    auto& tracer = fixedpart::obs::Tracer::global();
-    tracer.start();
-    run_multilevel(ibm01, starts, /*repeats=*/1, budget);
-    tracer.stop();
+    // Roomy enough that a full-scale run keeps every span; drops are
+    // counted and logged below.
+    fixedpart::obs::SpanBuffer spans(std::size_t{1} << 20);
+    {
+      const fixedpart::obs::ScopedTraceContext scope(
+          fixedpart::obs::trace_id_for("bench.trace_out"), &spans);
+      run_multilevel(ibm01, starts, /*repeats=*/1, budget);
+    }
     try {
-      tracer.write_json(*trace_path);
+      util::write_file_atomic(
+          *trace_path, fixedpart::obs::trace_events_to_json(spans.events()));
     } catch (const std::exception& error) {
       std::cerr << "bench_to_json: " << error.what() << "\n";
       return 1;
@@ -453,8 +454,8 @@ int main(int argc, char** argv) {
     fixedpart::obs::log_info(
         "bench", "wrote trace",
         {{"path", *trace_path},
-         {"spans", static_cast<std::int64_t>(tracer.event_count())},
-         {"dropped", static_cast<std::int64_t>(tracer.dropped_count())}});
+         {"spans", static_cast<std::int64_t>(spans.size())},
+         {"dropped", static_cast<std::int64_t>(spans.dropped())}});
   }
 
   {
@@ -492,7 +493,7 @@ int main(int argc, char** argv) {
       out << "\n  }";
     }
     // Obs counters/histograms over the timed measurements (scraped before
-    // any --trace-out extra run; empty sections under FIXEDPART_OBS=OFF).
+    // any --trace-out extra run).
     out << ",\n  \"metrics\": " << indent_block(metrics_snap.to_json());
     if (!baseline.empty()) {
       out << ",\n";

@@ -163,14 +163,9 @@ int run(const util::Cli& cli) {
   obs::HttpEndpoint endpoint(endpoint_config);
   obs::Exporter exporter(exporter_config);
   if (listen) {
-#if FIXEDPART_OBS_ENABLED
     endpoint.start();
     std::cout << "batch_runner: listening on 127.0.0.1:" << endpoint.port()
               << std::endl;
-#else
-    std::cout << "batch_runner: built with FIXEDPART_OBS=OFF; "
-                 "--listen disabled" << std::endl;
-#endif
   }
   if (!metrics_path.empty()) exporter.start();
 
@@ -205,9 +200,7 @@ int run(const util::Cli& cli) {
 
   exporter.stop();
   if (!metrics_path.empty()) {
-    // Final fleet-wide snapshot (fm.*, ml.*, svc.*), written even under
-    // FIXEDPART_OBS=OFF (empty sections) so downstream tooling always
-    // finds the files.
+    // Final fleet-wide snapshot (fm.*, ml.*, svc.*).
     const obs::Snapshot snapshot = obs::Registry::global().scrape();
     util::write_file_atomic(metrics_path, snapshot.to_json());
     util::write_file_atomic(metrics_path + ".prom",

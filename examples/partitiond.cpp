@@ -74,12 +74,6 @@ int run(const util::Cli& cli) {
                      "journal-compact-every", "retry-after-no-data",
                      "flight-dir"});
   apply_log_level(cli.get_or("log-level", "info"));
-#if !FIXEDPART_OBS_ENABLED
-  std::cout << "partitiond: built with FIXEDPART_OBS=OFF; the HTTP "
-               "endpoint is compiled out, nothing to serve"
-            << std::endl;
-  return 0;
-#else
   svc::ServerConfig config;
   config.workers = static_cast<int>(cli.get_int("workers", 1));
   config.queue_capacity =
@@ -213,7 +207,6 @@ int run(const util::Cli& cli) {
   endpoint.stop();
   std::cout << "partitiond: drained, exiting" << std::endl;
   return 0;
-#endif
 }
 
 }  // namespace

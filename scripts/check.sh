@@ -9,17 +9,14 @@
 #   tsan     FIXEDPART_SANITIZE=thread; the concurrency labels, but NOT
 #            `isolate`: the process pool forks from a threaded process,
 #            which TSan's runtime does not support
-#   obsoff   FIXEDPART_OBS=OFF; full suite (HTTP/daemon E2Es trivially
-#            pass, everything else must still build and run without the
-#            observability layer)
 #   large    plain build, `scale`-labeled tests only, with
 #            FIXEDPART_LARGE_CELLS bumped to 1M (opt-in: not part of the
 #            default matrix; sanitizer configs export
 #            FIXEDPART_LARGE_SKIP=1 so RSS budgets never run under
 #            shadow memory)
 #
-# Usage: scripts/check.sh [plain|asan|tsan|obsoff|large ...] (default:
-# plain asan tsan obsoff)
+# Usage: scripts/check.sh [plain|asan|tsan|large ...] (default:
+# plain asan tsan)
 # Build trees land in build-check-<config>/ at the repo root. Inside a git
 # checkout the script first fails if any generated tree (build*/ or
 # .bench_build/) is tracked, so build output is never committed.
@@ -28,7 +25,7 @@ set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 jobs=$(nproc 2>/dev/null || echo 4)
 configs=("$@")
-[ ${#configs[@]} -gt 0 ] || configs=(plain asan tsan obsoff)
+[ ${#configs[@]} -gt 0 ] || configs=(plain asan tsan)
 
 if git -C "$repo" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
   tracked=$(git -C "$repo" ls-files -- ':(glob)**/build*/**' \
@@ -82,12 +79,8 @@ for config in "${configs[@]}"; do
       ctest_args=(-L scale)
       FIXEDPART_LARGE_CELLS=1000000 run_config large
       ;;
-    obsoff)
-      ctest_args=()
-      run_config obsoff -DFIXEDPART_OBS=OFF
-      ;;
     *)
-      echo "unknown config: $config (want plain|asan|tsan|obsoff|large)" >&2
+      echo "unknown config: $config (want plain|asan|tsan|large)" >&2
       exit 2
       ;;
   esac

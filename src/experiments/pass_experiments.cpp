@@ -4,7 +4,6 @@
 
 #include "gen/regimes.hpp"
 #include "obs/pass_observer.hpp"
-#include "obs/registry.hpp"
 #include "part/fm.hpp"
 #include "part/initial.hpp"
 #include "part/partition.hpp"
@@ -23,9 +22,8 @@ hg::FixedAssignment good_instance(const InstanceContext& context, double pct,
 
 /// Table II statistics as a thin observer: per-pass aggregation happens
 /// on the engine's pass-end events instead of post-processing
-/// FmResult::pass_records. The accumulation below mirrors the legacy loop
-/// in run_pass_stats line for line — same values, same order — which is
-/// what keeps the two paths bit-identical.
+/// FmResult::pass_records. tests/test_obs.cpp checks it bit-identical
+/// against a pass_records aggregation of the same runs.
 class TableTwoCollector final : public obs::PassObserver {
  public:
   TableTwoCollector(util::RunningStat& pct_moved,
@@ -40,8 +38,7 @@ class TableTwoCollector final : public obs::PassObserver {
   }
 
   void on_pass_end(const obs::PassEnd& end) override {
-    // Skip the first pass (the paper's protocol) and degenerate passes,
-    // exactly like the pass_records loop.
+    // Skip the first pass (the paper's protocol) and degenerate passes.
     if (end.pass < 1 || movable_ == 0) return;
     pct_moved_.add(100.0 * static_cast<double>(end.best_prefix) /
                    static_cast<double>(movable_));
@@ -78,33 +75,16 @@ std::vector<PassStatsRow> run_pass_stats(const InstanceContext& context,
     util::RunningStat pct_moved;
     util::RunningStat pct_performed;
     util::Histogram prefix_positions(0.0, 1.0, 10);
-    // Observer path: the engine streams pass events into the collector and
-    // does not retain pass records at all. Falls back to the pass_records
-    // loop when the hooks are compiled out (FIXEDPART_OBS=OFF).
+    // The engine streams pass events into the collector and does not
+    // retain pass records at all.
     TableTwoCollector collector(pct_moved, pct_performed, prefix_positions);
-    const bool use_observer = config.use_observer && obs::kEnabled;
-    if (use_observer) {
-      fm.observer = &collector;
-      fm.collect_pass_records = false;
-    }
+    fm.observer = &collector;
+    fm.collect_pass_records = false;
     part::PartitionState state(context.circuit.graph, 2);
     for (int run = 0; run < config.runs; ++run) {
       part::random_feasible_assignment(state, fixed, context.balance, rng);
       const auto result = engine.refine(state, rng, fm);
       passes.add(static_cast<double>(result.passes));
-      if (use_observer) continue;
-      for (std::size_t p = 1; p < result.pass_records.size(); ++p) {
-        const auto& rec = result.pass_records[p];
-        if (rec.movable == 0) continue;
-        pct_moved.add(100.0 * static_cast<double>(rec.best_prefix) /
-                      static_cast<double>(rec.movable));
-        pct_performed.add(100.0 * static_cast<double>(rec.moves_performed) /
-                          static_cast<double>(rec.movable));
-        if (rec.moves_performed > 0 && rec.best_prefix > 0) {
-          prefix_positions.add(static_cast<double>(rec.best_prefix) /
-                               static_cast<double>(rec.moves_performed));
-        }
-      }
     }
     PassStatsRow row;
     row.pct_fixed = pct;

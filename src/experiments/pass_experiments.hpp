@@ -27,12 +27,6 @@ namespace fixedpart::exp {
 struct PassStatsConfig {
   std::vector<double> percentages = {0.0, 10.0, 20.0, 30.0};
   int runs = 50;
-  /// Collect the statistics through an obs::PassObserver attached to the
-  /// engine (the default) instead of post-processing FmResult::
-  /// pass_records. The two paths are bit-identical (tests/test_obs.cpp
-  /// holds the differential); the legacy path remains for that check and
-  /// as the automatic fallback when built with FIXEDPART_OBS=OFF.
-  bool use_observer = true;
 };
 
 struct PassStatsRow {

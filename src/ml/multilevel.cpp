@@ -232,15 +232,13 @@ MultilevelResult MultilevelPartitioner::run(
 
   result.assignment = std::move(assignment);
   result.seconds = timer.seconds();
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::Registry::global();
-    static const obs::MetricId runs = reg.counter("ml.runs");
-    static const obs::MetricId levels_total = reg.counter("ml.levels");
-    static const obs::MetricId truncations = reg.counter("ml.truncations");
-    reg.add(runs);
-    reg.add(levels_total, result.levels);
-    if (result.truncated) reg.add(truncations);
-  }
+  auto& reg = obs::Registry::global();
+  static const obs::MetricId runs = reg.counter("ml.runs");
+  static const obs::MetricId levels_total = reg.counter("ml.levels");
+  static const obs::MetricId truncations = reg.counter("ml.truncations");
+  reg.add(runs);
+  reg.add(levels_total, result.levels);
+  if (result.truncated) reg.add(truncations);
   return result;
 }
 

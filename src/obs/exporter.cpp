@@ -1,7 +1,5 @@
 #include "obs/exporter.hpp"
 
-#if FIXEDPART_OBS_ENABLED
-
 #include <chrono>
 #include <utility>
 
@@ -69,5 +67,3 @@ void Exporter::loop() {
 }
 
 }  // namespace fixedpart::obs
-
-#endif  // FIXEDPART_OBS_ENABLED

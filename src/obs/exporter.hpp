@@ -13,8 +13,6 @@
 // is logged and retried next interval — disk hiccups must not kill the
 // fleet. stop() (idempotent, also run by the destructor) only joins the
 // thread; callers that want a last-state file do a final tick_now().
-//
-// Under FIXEDPART_OBS=OFF the class is an inert stub.
 
 #include <atomic>
 #include <condition_variable>
@@ -33,8 +31,6 @@ struct ExporterConfig {
   std::string prom_path;  ///< empty = skip the Prometheus file
   Registry* registry = nullptr;  ///< nullptr = Registry::global()
 };
-
-#if FIXEDPART_OBS_ENABLED
 
 class Exporter {
  public:
@@ -67,21 +63,5 @@ class Exporter {
   std::atomic<std::uint64_t> ticks_{0};
   std::thread thread_;
 };
-
-#else  // FIXEDPART_OBS_ENABLED == 0: the exporter compiles out.
-
-class Exporter {
- public:
-  explicit Exporter(ExporterConfig) {}
-  Exporter(const Exporter&) = delete;
-  Exporter& operator=(const Exporter&) = delete;
-
-  void start() {}
-  void stop() {}
-  void tick_now() {}
-  std::uint64_t ticks() const { return 0; }
-};
-
-#endif
 
 }  // namespace fixedpart::obs

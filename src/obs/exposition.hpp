@@ -1,8 +1,7 @@
 #pragma once
 // Prometheus text exposition format 0.0.4 rendering of an obs::Snapshot,
 // the live sibling of Snapshot::to_json (docs/OBSERVABILITY.md). Pure
-// functions over an already-scraped snapshot — no registry access, so
-// they are available (and return an empty page) under FIXEDPART_OBS=OFF.
+// functions over an already-scraped snapshot — no registry access.
 //
 // Mapping:
 //  * metric names are sanitized to the Prometheus grammar

@@ -18,8 +18,6 @@
 
 namespace fixedpart::obs {
 
-#if FIXEDPART_OBS_ENABLED
-
 namespace {
 
 /// Global publish order across all shards; 0 marks an empty/torn entry.
@@ -365,7 +363,5 @@ void FlightRecorder::arm_signal_dump(const std::string& dir) {
 void FlightRecorder::arm_signal_dump(const std::string&) {}
 
 #endif  // __unix__
-
-#endif  // FIXEDPART_OBS_ENABLED
 
 }  // namespace fixedpart::obs

@@ -22,14 +22,11 @@
 // Each shard additionally tracks its stack of *open* spans (pushed by
 // ScopedSpan construction), which is what current_phase() scans so
 // /progress can say where a running job is stuck right now.
-//
-// Under FIXEDPART_OBS=OFF everything compiles to inline no-op stubs.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "obs/registry.hpp"  // FIXEDPART_OBS_ENABLED / kEnabled
 
 namespace fixedpart::obs {
 
@@ -39,8 +36,6 @@ struct FlightPhase {
   double seconds = 0.0;  ///< time since the span opened
   bool found = false;
 };
-
-#if FIXEDPART_OBS_ENABLED
 
 class FlightRecorder {
  public:
@@ -91,35 +86,5 @@ class FlightRecorder {
 
   std::atomic<Shard*> head_{nullptr};  ///< signal-safe shard list
 };
-
-#else  // FIXEDPART_OBS_ENABLED == 0
-
-class FlightRecorder {
- public:
-  static constexpr std::size_t kShardEntries = 0;
-  static constexpr std::size_t kOpenDepth = 0;
-
-  static FlightRecorder& global() {
-    static FlightRecorder recorder;
-    return recorder;
-  }
-
-  void record_span(const char*, std::uint64_t, std::int64_t, std::int64_t) {}
-  void record_event(const char*, const char*, const std::string&) {}
-  void push_open(const char*, std::uint64_t, std::int64_t) {}
-  void pop_open() {}
-  FlightPhase current_phase(std::uint64_t) const { return {}; }
-  std::string to_json() const {
-    return "{\"entries\": [], \"recorded\": 0, \"retained\": 0}";
-  }
-  std::string dump(const std::string&, const std::string&, const std::string&,
-                   const std::string&) const {
-    return "";
-  }
-  void arm_signal_dump(const std::string&) {}
-};
-
-
-#endif
 
 }  // namespace fixedpart::obs

@@ -1,7 +1,5 @@
 #include "obs/http.hpp"
 
-#if FIXEDPART_OBS_ENABLED
-
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -457,5 +455,3 @@ void HttpEndpoint::handle_connection(int fd) {
 }
 
 }  // namespace fixedpart::obs
-
-#endif  // FIXEDPART_OBS_ENABLED

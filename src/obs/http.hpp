@@ -22,9 +22,7 @@
 // start() binds (port 0 = kernel-assigned, read back via port()) and
 // spawns the serve thread; stop() (idempotent, also run by the
 // destructor) wakes the thread through a self-pipe, joins it, and closes
-// every fd — the lifecycle test holds the no-fd-leak contract. Under
-// FIXEDPART_OBS=OFF the class is an inert stub: start() does nothing and
-// port() stays 0, so callers can keep one code path.
+// every fd — the lifecycle test holds the no-fd-leak contract.
 
 #include <atomic>
 #include <cstdint>
@@ -80,8 +78,6 @@ struct HttpEndpointConfig {
   std::size_t max_request_bytes = 1u << 20;
 };
 
-#if FIXEDPART_OBS_ENABLED
-
 class HttpEndpoint {
  public:
   explicit HttpEndpoint(HttpEndpointConfig config);
@@ -114,22 +110,5 @@ class HttpEndpoint {
   std::atomic<std::uint64_t> requests_{0};
   std::thread thread_;
 };
-
-#else  // FIXEDPART_OBS_ENABLED == 0: the endpoint compiles out.
-
-class HttpEndpoint {
- public:
-  explicit HttpEndpoint(HttpEndpointConfig) {}
-  HttpEndpoint(const HttpEndpoint&) = delete;
-  HttpEndpoint& operator=(const HttpEndpoint&) = delete;
-
-  void start() {}
-  void stop() {}
-  bool running() const { return false; }
-  std::uint16_t port() const { return 0; }
-  std::uint64_t requests_served() const { return 0; }
-};
-
-#endif
 
 }  // namespace fixedpart::obs

@@ -32,8 +32,6 @@ LogLevel log_level_from_string(const std::string& text) {
   return LogLevel::kInfo;
 }
 
-#if FIXEDPART_OBS_ENABLED
-
 namespace {
 
 std::int64_t steady_ns() {
@@ -237,7 +235,5 @@ std::uint64_t Log::lines_written() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lines_written_;
 }
-
-#endif  // FIXEDPART_OBS_ENABLED
 
 }  // namespace fixedpart::obs

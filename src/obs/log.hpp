@@ -16,8 +16,7 @@
 // kRingCapacity lines survive a crash that manages to log at all.
 //
 // Logging is mutex-serialized — it is for job boundaries and operator
-// events, not for per-move hot paths (use obs::Registry there). Under
-// FIXEDPART_OBS=OFF every member compiles to an empty inline stub.
+// events, not for per-move hot paths (use obs::Registry there).
 
 #include <cstdint>
 #include <cstdio>
@@ -25,8 +24,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "obs/registry.hpp"  // FIXEDPART_OBS_ENABLED / kEnabled
 
 namespace fixedpart::obs {
 
@@ -68,8 +65,6 @@ struct LogField {
   double double_value = 0.0;
   bool bool_value = false;
 };
-
-#if FIXEDPART_OBS_ENABLED
 
 class Log {
  public:
@@ -123,35 +118,6 @@ class Log {
   std::uint64_t lines_written_ = 0;
   const std::int64_t epoch_steady_ns_;
 };
-
-#else  // FIXEDPART_OBS_ENABLED == 0: logging compiles away entirely.
-
-class Log {
- public:
-  static constexpr std::size_t kRingCapacity = 0;
-
-  Log() = default;
-  Log(const Log&) = delete;
-  Log& operator=(const Log&) = delete;
-
-  static Log& global() {
-    static Log log;
-    return log;
-  }
-
-  void set_min_level(LogLevel) {}
-  LogLevel min_level() const { return LogLevel::kInfo; }
-  void set_sink_path(const std::string&) {}
-  void set_sink_stderr() {}
-  void write(LogLevel, const char*, const std::string&,
-             std::initializer_list<LogField> = {}) {}
-  void flush() {}
-  void flush_ring() {}
-  std::vector<std::string> ring_lines() const { return {}; }
-  std::uint64_t lines_written() const { return 0; }
-};
-
-#endif
 
 // Convenience wrappers over Log::global().
 inline void log_debug(const char* subsystem, const std::string& msg,

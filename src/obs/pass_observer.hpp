@@ -7,9 +7,7 @@
 // invokes an optional PassObserver per pass begin / move / pass end, and
 // the statistics become a thin observer (src/experiments/
 // pass_experiments.cpp). Set FmConfig::observer / KwayConfig::observer to
-// attach one; the default (nullptr) costs a single branch per event, and
-// under FIXEDPART_OBS=OFF the call sites compile away entirely via
-// `if constexpr (obs::kEnabled)`.
+// attach one; the default (nullptr) costs a single branch per event.
 //
 // Events fire on the refinement hot path — implementations must be cheap
 // and must NOT mutate the partition state or re-enter the refiner.

@@ -110,8 +110,6 @@ std::string Snapshot::to_json() const {
   return out.str();
 }
 
-#if FIXEDPART_OBS_ENABLED
-
 namespace {
 
 std::uint64_t next_registry_uid() {
@@ -345,7 +343,5 @@ void Registry::reset() {
     for (auto& cell : shard->sums) cell.store(0.0, std::memory_order_relaxed);
   }
 }
-
-#endif  // FIXEDPART_OBS_ENABLED
 
 }  // namespace fixedpart::obs

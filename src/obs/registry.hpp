@@ -15,10 +15,6 @@
 // idiomatic pattern, see src/part/fm.cpp). Capacities are fixed so shards
 // never reallocate under concurrent readers: kMaxCounters counters,
 // kMaxHistograms histograms, kMaxHistogramCells total bins per registry.
-//
-// Compile-time kill switch: building with -DFIXEDPART_OBS=OFF defines
-// FIXEDPART_OBS_ENABLED=0 and every member below compiles to an empty
-// inline stub, so instrumented call sites cost literally nothing.
 
 #include <array>
 #include <atomic>
@@ -30,16 +26,7 @@
 #include <utility>
 #include <vector>
 
-#ifndef FIXEDPART_OBS_ENABLED
-#define FIXEDPART_OBS_ENABLED 1
-#endif
-
 namespace fixedpart::obs {
-
-/// True when the observability layer is compiled in. Use
-/// `if constexpr (obs::kEnabled)` around hooks that must vanish entirely
-/// under FIXEDPART_OBS=OFF.
-inline constexpr bool kEnabled = FIXEDPART_OBS_ENABLED != 0;
 
 /// Dense handle for a registered metric; stable for the registry lifetime.
 using MetricId = std::uint32_t;
@@ -93,8 +80,6 @@ struct Snapshot {
 std::string labeled(
     const std::string& name,
     std::initializer_list<std::pair<const char*, std::string>> labels);
-
-#if FIXEDPART_OBS_ENABLED
 
 class Registry {
  public:
@@ -190,38 +175,5 @@ class Registry {
   std::atomic<std::uint32_t> num_histograms_{0};
   mutable std::vector<std::shared_ptr<Shard>> shards_;
 };
-
-#else  // FIXEDPART_OBS_ENABLED == 0: every hook is a no-op.
-
-class Registry {
- public:
-  static constexpr std::uint32_t kMaxCounters = 256;
-  static constexpr std::uint32_t kMaxGauges = 128;
-  static constexpr std::uint32_t kMaxHistograms = 64;
-  static constexpr std::uint32_t kMaxHistogramCells = 4096;
-  static constexpr std::uint32_t kMaxLabelSets = 64;
-
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  static Registry& global() {
-    static Registry registry;
-    return registry;
-  }
-
-  MetricId counter(const std::string&) { return 0; }
-  MetricId gauge(const std::string&) { return 0; }
-  MetricId histogram(const std::string&, double, double, std::uint32_t) {
-    return 0;
-  }
-  void add(MetricId, std::int64_t = 1) {}
-  void set(MetricId, double) {}
-  void observe(MetricId, double) {}
-  Snapshot scrape() const { return {}; }
-  void reset() {}
-};
-
-#endif
 
 }  // namespace fixedpart::obs

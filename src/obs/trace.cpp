@@ -6,7 +6,7 @@
 #include <unordered_set>
 
 #include "obs/flight.hpp"
-#include "util/atomic_file.hpp"
+#include "obs/registry.hpp"
 
 namespace fixedpart::obs {
 
@@ -98,8 +98,6 @@ PhaseBreakdown phase_breakdown(const std::vector<TraceEvent>& events) {
   return out;
 }
 
-#if FIXEDPART_OBS_ENABLED
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -186,51 +184,6 @@ ScopedTraceContext::~ScopedTraceContext() { t_context = prev_; }
 
 TraceContext ScopedTraceContext::current() { return t_context; }
 
-Tracer& Tracer::global() {
-  static Tracer tracer;
-  return tracer;
-}
-
-void Tracer::start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-  dropped_.store(0, std::memory_order_relaxed);
-  epoch_offset_ns_.store(trace_now_ns(), std::memory_order_relaxed);
-  active_.store(true, std::memory_order_release);
-}
-
-void Tracer::stop() { active_.store(false, std::memory_order_release); }
-
-void Tracer::record(const TraceEvent& event) {
-  if (!active()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.size() >= kMaxEvents) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    Registry::global().add(dropped_metric());
-    return;
-  }
-  events_.push_back(event);
-  TraceEvent& back = events_.back();
-  back.start_ns -= epoch_offset_ns_.load(std::memory_order_relaxed);
-  back.tid = event.tid != 0 ? event.tid : local_thread_id();
-}
-
-std::size_t Tracer::event_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-std::vector<TraceEvent> Tracer::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-std::string Tracer::to_json() const { return trace_events_to_json(events()); }
-
-void Tracer::write_json(const std::string& path) const {
-  util::write_file_atomic(path, to_json());
-}
-
 ScopedSpan::ScopedSpan(const char* name)
     : name_(name != nullptr ? name : ""), start_ns_(trace_now_ns()) {
   trace_id_ = t_context.trace_id;
@@ -252,17 +205,8 @@ ScopedSpan::~ScopedSpan() {
   event.num_args = num_args_;
   const TraceContext& ctx = t_context;
   if (ctx.buffer != nullptr) ctx.buffer->record(event);
-  Tracer::global().record(event);
   FlightRecorder::global().record_span(name_, trace_id_, start_ns_,
                                        event.dur_ns);
 }
-
-#else
-
-void Tracer::write_json(const std::string& path) const {
-  util::write_file_atomic(path, to_json());
-}
-
-#endif  // FIXEDPART_OBS_ENABLED
 
 }  // namespace fixedpart::obs

@@ -2,18 +2,17 @@
 // Per-job distributed tracing (docs/OBSERVABILITY.md "Traces").
 //
 // Spans are recorded by RAII `ScopedSpan` objects at fm/kway/ml/svc call
-// sites. Every span routes, at destruction, to up to three sinks:
+// sites. Every span routes, at destruction, to two sinks:
 //
 //   1. The *current trace context* — a thread-local stack pushed by
 //      `ScopedTraceContext`, carrying a deterministic per-job trace id
 //      (`trace_id_for(job id)`) and a bounded per-job `SpanBuffer` owned
 //      by the job record. This is how `PartitionServer` and
 //      `run_supervised_job` attribute engine spans to a request with no
-//      call-site churn, and how `fixedpart-worker` collects spans for
-//      streaming over the `'T'` frame (src/obs/trace_wire.hpp).
-//   2. The legacy process-global `Tracer`, when armed via start() — kept
-//      for `--trace-out` style whole-process dumps (bench_to_json).
-//   3. The always-on `FlightRecorder` ring (src/obs/flight.hpp).
+//      call-site churn, how `fixedpart-worker` collects spans for
+//      streaming over the `'T'` frame (src/obs/trace_wire.hpp), and how
+//      a whole-run dump (bench_to_json --trace-out) captures one run.
+//   2. The always-on `FlightRecorder` ring (src/obs/flight.hpp).
 //
 // Timestamps come from one process-wide steady epoch (`trace_now_ns`);
 // wall-clock jumps cannot reorder spans, and the worker/parent epoch
@@ -23,10 +22,6 @@
 // `intern_name()` (a bounded process-lifetime pool), so events can store
 // raw pointers safely; the `ScopedSpan(const std::string&)` overload
 // interns dynamically-built names.
-//
-// Under FIXEDPART_OBS=OFF every member compiles to an empty inline stub;
-// the pure helpers (trace_events_to_json, phase_breakdown, trace_id_for)
-// stay available so svc/ code needs no #if guards.
 
 #include <array>
 #include <atomic>
@@ -35,8 +30,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "obs/registry.hpp"  // FIXEDPART_OBS_ENABLED / kEnabled
 
 namespace fixedpart::obs {
 
@@ -61,7 +54,7 @@ struct TraceEvent {
 };
 
 /// Chrome trace JSON ({"traceEvents": [...], "displayTimeUnit": "ms"}) for
-/// an event list; shared by Tracer::to_json and the per-job trace cache.
+/// an event list (a job's trace, a --trace-out dump).
 std::string trace_events_to_json(const std::vector<TraceEvent>& events);
 
 /// Deterministic trace id for a job: FNV-1a of the job id (itself derived
@@ -77,8 +70,6 @@ struct PhaseBreakdown {
   double refine_seconds = 0.0;
 };
 PhaseBreakdown phase_breakdown(const std::vector<TraceEvent>& events);
-
-#if FIXEDPART_OBS_ENABLED
 
 /// Nanoseconds since the process-wide steady trace epoch (latched on
 /// first use). The common timebase of every TraceEvent in this process.
@@ -152,56 +143,9 @@ class ScopedTraceContext {
   TraceContext prev_;
 };
 
-/// Process-global whole-run tracer (armed via start(); bench --trace-out).
-/// Events recorded while armed are rebased to the start() epoch.
-class Tracer {
- public:
-  static constexpr std::size_t kMaxEvents = 1u << 20;
-
-  Tracer() = default;
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  /// The tracer the built-in spans record into.
-  static Tracer& global();
-
-  /// Clears the buffer, resets the epoch to now, and starts collecting.
-  void start();
-  /// Stops collecting (buffered events are kept until the next start()).
-  void stop();
-  bool active() const { return active_.load(std::memory_order_relaxed); }
-
-  /// Nanoseconds since the last start(); the timebase of this buffer.
-  std::int64_t now_ns() const {
-    return trace_now_ns() - epoch_offset_ns_.load(std::memory_order_relaxed);
-  }
-
-  /// Appends one event (dropped when inactive or past kMaxEvents). The
-  /// event's start_ns is interpreted on the process epoch and rebased.
-  void record(const TraceEvent& event);
-
-  std::size_t event_count() const;
-  std::uint64_t dropped_count() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  std::vector<TraceEvent> events() const;
-
-  /// Chrome trace: {"traceEvents": [...], "displayTimeUnit": "ms"}.
-  std::string to_json() const;
-  /// to_json() published via util::write_file_atomic.
-  void write_json(const std::string& path) const;
-
- private:
-  std::atomic<bool> active_{false};
-  std::atomic<std::int64_t> epoch_offset_ns_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
-};
-
 /// RAII span. Always live (the flight recorder never disarms): records
-/// into the current TraceContext buffer, the armed global Tracer, and
-/// the flight-recorder ring at destruction.
+/// into the current TraceContext buffer and the flight-recorder ring at
+/// destruction.
 class ScopedSpan {
  public:
   /// `name` must be a string literal (or otherwise immortal).
@@ -235,79 +179,5 @@ class ScopedSpan {
   std::array<TraceArg, 4> args_{};
   std::uint32_t num_args_ = 0;
 };
-
-#else  // FIXEDPART_OBS_ENABLED == 0: tracing compiles away entirely.
-
-inline std::int64_t trace_now_ns() { return 0; }
-inline std::uint32_t trace_local_tid() { return 0; }
-inline const char* intern_name(const std::string&) { return ""; }
-constexpr std::size_t kMaxInternedNames = 0;
-
-class SpanBuffer {
- public:
-  static constexpr std::size_t kDefaultCapacity = 0;
-  explicit SpanBuffer(std::size_t = 0) {}
-  SpanBuffer(const SpanBuffer&) = delete;
-  SpanBuffer& operator=(const SpanBuffer&) = delete;
-  void record(TraceEvent) {}
-  std::vector<TraceEvent> events() const { return {}; }
-  std::vector<TraceEvent> drain() { return {}; }
-  std::size_t size() const { return 0; }
-  std::uint64_t dropped() const { return 0; }
-  void add_remote_dropped(std::uint64_t) {}
-};
-
-struct TraceContext {
-  std::uint64_t trace_id = 0;
-  SpanBuffer* buffer = nullptr;
-  bool active() const { return false; }
-};
-
-class ScopedTraceContext {
- public:
-  ScopedTraceContext(std::uint64_t, SpanBuffer*) {}
-  ScopedTraceContext(const ScopedTraceContext&) = delete;
-  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
-  static TraceContext current() { return {}; }
-};
-
-class Tracer {
- public:
-  static constexpr std::size_t kMaxEvents = 0;
-
-  Tracer() = default;
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  static Tracer& global() {
-    static Tracer tracer;
-    return tracer;
-  }
-
-  void start() {}
-  void stop() {}
-  bool active() const { return false; }
-  std::int64_t now_ns() const { return 0; }
-  void record(const TraceEvent&) {}
-  std::size_t event_count() const { return 0; }
-  std::uint64_t dropped_count() const { return 0; }
-  std::vector<TraceEvent> events() const { return {}; }
-  std::string to_json() const {
-    return "{\"traceEvents\": [], \"displayTimeUnit\": \"ms\"}\n";
-  }
-  void write_json(const std::string& path) const;
-};
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char*) {}
-  explicit ScopedSpan(const std::string&) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ScopedSpan& arg(const char*, std::int64_t) { return *this; }
-  ScopedSpan& arg(const char*, double) { return *this; }
-};
-
-#endif
 
 }  // namespace fixedpart::obs

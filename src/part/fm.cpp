@@ -256,15 +256,13 @@ Weight FmBipartitioner::run_pass(PartitionState& state, util::Rng& rng,
   }
   record.boundary_vertices = boundary_count;
 
-  if constexpr (obs::kEnabled) {
-    if (config.observer != nullptr) {
-      obs::PassBegin begin;
-      begin.pass = pass_index;
-      begin.movable = movable_count;
-      begin.boundary_vertices = boundary_count;
-      begin.cut = state.cut();
-      config.observer->on_pass_begin(begin);
-    }
+  if (config.observer != nullptr) {
+    obs::PassBegin begin;
+    begin.pass = pass_index;
+    begin.movable = movable_count;
+    begin.boundary_vertices = boundary_count;
+    begin.cut = state.cut();
+    config.observer->on_pass_begin(begin);
   }
 
   std::int32_t move_limit = movable_count;
@@ -359,18 +357,16 @@ Weight FmBipartitioner::run_pass(PartitionState& state, util::Rng& rng,
     state.move(v, to);
     move_log.push_back({v, from});
 
-    if constexpr (obs::kEnabled) {
-      if (config.observer != nullptr) {
-        obs::MoveEvent move;
-        move.pass = pass_index;
-        move.move_index = static_cast<std::int32_t>(move_log.size()) - 1;
-        move.vertex = v;
-        move.from = from;
-        move.to = to;
-        move.gain = cut_prev - state.cut();
-        move.cut = state.cut();
-        config.observer->on_move(move);
-      }
+    if (config.observer != nullptr) {
+      obs::MoveEvent move;
+      move.pass = pass_index;
+      move.move_index = static_cast<std::int32_t>(move_log.size()) - 1;
+      move.vertex = v;
+      move.from = from;
+      move.to = to;
+      move.gain = cut_prev - state.cut();
+      move.cut = state.cut();
+      config.observer->on_move(move);
     }
 
     if (config.check_invariants) verify_invariants(state, config);
@@ -396,21 +392,19 @@ Weight FmBipartitioner::run_pass(PartitionState& state, util::Rng& rng,
   record.best_prefix = best_prefix;
   record.cut_best = best_cut;
 
-  if constexpr (obs::kEnabled) {
-    if (config.observer != nullptr) {
-      obs::PassEnd end;
-      end.pass = pass_index;
-      end.moves_performed = record.moves_performed;
-      end.best_prefix = best_prefix;
-      end.cut_before = cut_start;
-      end.cut_best = best_cut;
-      config.observer->on_pass_end(end);
-    }
-    span.arg("pass", static_cast<std::int64_t>(pass_index))
-        .arg("moves", static_cast<std::int64_t>(record.moves_performed))
-        .arg("kept", static_cast<std::int64_t>(best_prefix))
-        .arg("cut", static_cast<std::int64_t>(best_cut));
+  if (config.observer != nullptr) {
+    obs::PassEnd end;
+    end.pass = pass_index;
+    end.moves_performed = record.moves_performed;
+    end.best_prefix = best_prefix;
+    end.cut_before = cut_start;
+    end.cut_best = best_cut;
+    config.observer->on_pass_end(end);
   }
+  span.arg("pass", static_cast<std::int64_t>(pass_index))
+      .arg("moves", static_cast<std::int64_t>(record.moves_performed))
+      .arg("kept", static_cast<std::int64_t>(best_prefix))
+      .arg("cut", static_cast<std::int64_t>(best_cut));
   return cut_start - best_cut;
 }
 
@@ -451,23 +445,21 @@ FmResult FmBipartitioner::refine(PartitionState& state, util::Rng& rng,
     if (gain <= 0) break;
   }
   result.final_cut = state.cut();
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::Registry::global();
-    static const obs::MetricId refines = reg.counter("fm.refine_calls");
-    static const obs::MetricId passes = reg.counter("fm.passes");
-    static const obs::MetricId moves = reg.counter("fm.moves");
-    static const obs::MetricId truncations = reg.counter("fm.truncations");
-    static const obs::MetricId kept =
-        reg.histogram("fm.pass_kept_fraction", 0.0, 1.0, 10);
-    reg.add(refines);
-    reg.add(passes, result.passes);
-    reg.add(moves, result.total_moves);
-    if (result.truncated) reg.add(truncations);
-    for (const PassRecord& r : result.pass_records) {
-      if (r.moves_performed > 0) {
-        reg.observe(kept, static_cast<double>(r.best_prefix) /
-                              static_cast<double>(r.moves_performed));
-      }
+  auto& reg = obs::Registry::global();
+  static const obs::MetricId refines = reg.counter("fm.refine_calls");
+  static const obs::MetricId passes = reg.counter("fm.passes");
+  static const obs::MetricId moves = reg.counter("fm.moves");
+  static const obs::MetricId truncations = reg.counter("fm.truncations");
+  static const obs::MetricId kept =
+      reg.histogram("fm.pass_kept_fraction", 0.0, 1.0, 10);
+  reg.add(refines);
+  reg.add(passes, result.passes);
+  reg.add(moves, result.total_moves);
+  if (result.truncated) reg.add(truncations);
+  for (const PassRecord& r : result.pass_records) {
+    if (r.moves_performed > 0) {
+      reg.observe(kept, static_cast<double>(r.best_prefix) /
+                            static_cast<double>(r.moves_performed));
     }
   }
   return result;

@@ -86,7 +86,7 @@ struct FmConfig {
   /// Optional profiling hook (not owned; must outlive the refinement;
   /// nullptr = none). Invoked per pass begin / accepted move / pass end
   /// with the physical sequence the engine performed — see
-  /// obs::PassObserver. Ignored when built with FIXEDPART_OBS=OFF.
+  /// obs::PassObserver.
   obs::PassObserver* observer = nullptr;
   /// Debug mode: after every move, verify that each bucketed vertex's key
   /// equals its true gain (LIFO/FIFO; CLIP keys are deltas and are checked

@@ -96,14 +96,12 @@ Weight KwayFmRefiner::run_pass(PartitionState& state, util::Rng& rng,
     buckets_.insert(v, mv.gain);
   }
 
-  if constexpr (obs::kEnabled) {
-    if (config.observer != nullptr) {
-      obs::PassBegin begin;
-      begin.pass = pass_index;
-      begin.movable = movable_count;
-      begin.cut = state.cut();
-      config.observer->on_pass_begin(begin);
-    }
+  if (config.observer != nullptr) {
+    obs::PassBegin begin;
+    begin.pass = pass_index;
+    begin.movable = movable_count;
+    begin.cut = state.cut();
+    config.observer->on_pass_begin(begin);
   }
 
   std::int32_t move_limit = movable_count;
@@ -141,18 +139,16 @@ Weight KwayFmRefiner::run_pass(PartitionState& state, util::Rng& rng,
     state.move(v, current.target);
     move_log_.push_back({v, from});
 
-    if constexpr (obs::kEnabled) {
-      if (config.observer != nullptr) {
-        obs::MoveEvent move;
-        move.pass = pass_index;
-        move.move_index = static_cast<std::int32_t>(move_log_.size()) - 1;
-        move.vertex = v;
-        move.from = from;
-        move.to = current.target;
-        move.gain = cut_prev - state.cut();
-        move.cut = state.cut();
-        config.observer->on_move(move);
-      }
+    if (config.observer != nullptr) {
+      obs::MoveEvent move;
+      move.pass = pass_index;
+      move.move_index = static_cast<std::int32_t>(move_log_.size()) - 1;
+      move.vertex = v;
+      move.from = from;
+      move.to = current.target;
+      move.gain = cut_prev - state.cut();
+      move.cut = state.cut();
+      config.observer->on_move(move);
     }
 
     // Exact re-keying of affected unlocked neighbours.
@@ -185,21 +181,19 @@ Weight KwayFmRefiner::run_pass(PartitionState& state, util::Rng& rng,
   record.best_prefix = best_prefix;
   record.cut_best = best_cut;
 
-  if constexpr (obs::kEnabled) {
-    if (config.observer != nullptr) {
-      obs::PassEnd end;
-      end.pass = pass_index;
-      end.moves_performed = record.moves_performed;
-      end.best_prefix = best_prefix;
-      end.cut_before = cut_start;
-      end.cut_best = best_cut;
-      config.observer->on_pass_end(end);
-    }
-    span.arg("pass", static_cast<std::int64_t>(pass_index))
-        .arg("moves", static_cast<std::int64_t>(record.moves_performed))
-        .arg("kept", static_cast<std::int64_t>(best_prefix))
-        .arg("cut", static_cast<std::int64_t>(best_cut));
+  if (config.observer != nullptr) {
+    obs::PassEnd end;
+    end.pass = pass_index;
+    end.moves_performed = record.moves_performed;
+    end.best_prefix = best_prefix;
+    end.cut_before = cut_start;
+    end.cut_best = best_cut;
+    config.observer->on_pass_end(end);
   }
+  span.arg("pass", static_cast<std::int64_t>(pass_index))
+      .arg("moves", static_cast<std::int64_t>(record.moves_performed))
+      .arg("kept", static_cast<std::int64_t>(best_prefix))
+      .arg("cut", static_cast<std::int64_t>(best_cut));
   return cut_start - best_cut;
 }
 
@@ -219,15 +213,13 @@ FmResult KwayFmRefiner::refine(PartitionState& state, util::Rng& rng,
     if (gain <= 0) break;
   }
   result.final_cut = state.cut();
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::Registry::global();
-    static const obs::MetricId refines = reg.counter("kway.refine_calls");
-    static const obs::MetricId passes = reg.counter("kway.passes");
-    static const obs::MetricId moves = reg.counter("kway.moves");
-    reg.add(refines);
-    reg.add(passes, result.passes);
-    reg.add(moves, result.total_moves);
-  }
+  auto& reg = obs::Registry::global();
+  static const obs::MetricId refines = reg.counter("kway.refine_calls");
+  static const obs::MetricId passes = reg.counter("kway.passes");
+  static const obs::MetricId moves = reg.counter("kway.moves");
+  reg.add(refines);
+  reg.add(passes, result.passes);
+  reg.add(moves, result.total_moves);
   return result;
 }
 

@@ -29,8 +29,7 @@ struct KwayConfig {
   int max_passes = 64;
   /// Optional profiling hook (not owned; must outlive the refinement;
   /// nullptr = none) — see obs::PassObserver. boundary_vertices is -1 in
-  /// PassBegin (this engine tracks no boundary set). Ignored when built
-  /// with FIXEDPART_OBS=OFF.
+  /// PassBegin (this engine tracks no boundary set).
   obs::PassObserver* observer = nullptr;
 };
 

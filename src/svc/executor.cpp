@@ -90,9 +90,7 @@ JobOutcome run_supervised_job(const JobRunner& runner, const JobSpec& spec,
   // always, worker spans merged by ProcessPool::attempt in process mode)
   // lands in `spans`, tagged with the job's deterministic trace id.
   std::shared_ptr<obs::SpanBuffer> spans = hooks.spans;
-  if (obs::kEnabled && spans == nullptr) {
-    spans = std::make_shared<obs::SpanBuffer>();
-  }
+  if (spans == nullptr) spans = std::make_shared<obs::SpanBuffer>();
   obs::ScopedTraceContext trace_ctx(obs::trace_id_for(spec.id), spans.get());
   const auto finalize = [&spans](JobOutcome& outcome) {
     if (spans != nullptr) {
@@ -356,7 +354,7 @@ BatchReport BatchExecutor::run(const std::vector<JobSpec>& manifest,
   // Live telemetry: queue/worker/heartbeat/best-cut gauges plus the
   // labeled per-state job counter family, updated at job boundaries and
   // supervisor ticks so an attached /metrics endpoint sees the fleet
-  // move. All of it compiles to no-ops under FIXEDPART_OBS=OFF.
+  // move.
   auto& obs_reg = obs::Registry::global();
   struct LiveIds {
     obs::MetricId queue_depth, inflight, heartbeat_age, best_cut;
@@ -519,27 +517,25 @@ BatchReport BatchExecutor::run(const std::vector<JobSpec>& manifest,
     if (outcome->attempts > 1) ++report.retried;
   }
   report.drained = draining();
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::Registry::global();
-    static const obs::MetricId jobs_ok = reg.counter("svc.jobs_ok");
-    static const obs::MetricId jobs_truncated =
-        reg.counter("svc.jobs_truncated");
-    static const obs::MetricId jobs_failed = reg.counter("svc.jobs_failed");
-    static const obs::MetricId jobs_poisoned =
-        reg.counter("svc.jobs_poisoned");
-    static const obs::MetricId jobs_retried = reg.counter("svc.jobs_retried");
-    static const obs::MetricId jobs_resumed = reg.counter("svc.jobs_resumed");
-    static const obs::MetricId attempts_hist =
-        reg.histogram("svc.job_attempts", 1.0, 11.0, 10);
-    reg.add(jobs_ok, report.ok);
-    reg.add(jobs_truncated, report.truncated);
-    reg.add(jobs_failed, report.failed);
-    reg.add(jobs_poisoned, report.poisoned);
-    reg.add(jobs_retried, report.retried);
-    reg.add(jobs_resumed, report.resumed);
-    for (const JobOutcome& outcome : report.outcomes) {
-      reg.observe(attempts_hist, static_cast<double>(outcome.attempts));
-    }
+  auto& reg = obs::Registry::global();
+  static const obs::MetricId jobs_ok = reg.counter("svc.jobs_ok");
+  static const obs::MetricId jobs_truncated =
+      reg.counter("svc.jobs_truncated");
+  static const obs::MetricId jobs_failed = reg.counter("svc.jobs_failed");
+  static const obs::MetricId jobs_poisoned =
+      reg.counter("svc.jobs_poisoned");
+  static const obs::MetricId jobs_retried = reg.counter("svc.jobs_retried");
+  static const obs::MetricId jobs_resumed = reg.counter("svc.jobs_resumed");
+  static const obs::MetricId attempts_hist =
+      reg.histogram("svc.job_attempts", 1.0, 11.0, 10);
+  reg.add(jobs_ok, report.ok);
+  reg.add(jobs_truncated, report.truncated);
+  reg.add(jobs_failed, report.failed);
+  reg.add(jobs_poisoned, report.poisoned);
+  reg.add(jobs_retried, report.retried);
+  reg.add(jobs_resumed, report.resumed);
+  for (const JobOutcome& outcome : report.outcomes) {
+    reg.observe(attempts_hist, static_cast<double>(outcome.attempts));
   }
   obs::log_info("svc", "fleet finished",
                 {{"summary", report.summary()},

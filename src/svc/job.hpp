@@ -118,8 +118,7 @@ struct JobOutcome {
   /// Per-phase wall seconds of the winning job's trace, summed from the
   /// ml.coarsen_level / ml.initial / ml.refine_level spans
   /// (obs::phase_breakdown). Timing like `seconds`: excluded from the
-  /// canonical form, serialized only when non-zero, and all-zero under
-  /// FIXEDPART_OBS=OFF.
+  /// canonical form, serialized only when non-zero.
   double coarsen_seconds = 0.0;
   double initial_seconds = 0.0;
   double refine_seconds = 0.0;

@@ -88,7 +88,7 @@ struct ProcessPoolConfig {
 };
 
 /// Counters the tests and /progress read back; mirrors the svc.worker.*
-/// registry metrics (which compile away under FIXEDPART_OBS=OFF).
+/// registry metrics.
 struct ProcessPoolStats {
   std::int64_t spawned = 0;    ///< workers forked (respawns included)
   std::int64_t crashed = 0;    ///< exits without a clean outcome

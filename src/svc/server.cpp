@@ -436,12 +436,10 @@ void PartitionServer::worker_loop(AttemptSlot& slot) {
              handle->user_cancelled.load(std::memory_order_acquire) ||
              (base_stop && base_stop());
     };
-    if constexpr (obs::kEnabled) {
-      // Fresh buffer per run, never shared across jobs: the trace served
-      // at /jobs/<id>/trace must hold exactly this job's spans.
-      job->spans = std::make_shared<obs::SpanBuffer>();
-      hooks.spans = job->spans;
-    }
+    // Fresh buffer per run, never shared across jobs: the trace served
+    // at /jobs/<id>/trace must hold exactly this job's spans.
+    job->spans = std::make_shared<obs::SpanBuffer>();
+    hooks.spans = job->spans;
     finish_job(job,
                run_supervised_job(runner_, spec, config_.retry, slot, hooks));
   }
@@ -457,15 +455,13 @@ void PartitionServer::finish_job(const std::shared_ptr<ServerJob>& job,
                    running_.end());
     job->outcome = std::move(outcome);
     job->has_outcome = true;
-    if constexpr (obs::kEnabled) {
-      // Render the Chrome trace once, cache it with the result, drop the
-      // span buffer. Rendering under mu_ keeps /jobs/<id>/trace trivially
-      // consistent (whole trace or 404, never a partial one).
-      if (job->spans != nullptr) {
-        job->trace = obs::trace_events_to_json(job->spans->events());
-        job->spans.reset();
-        trace_bytes_ += static_cast<std::int64_t>(job->trace.size());
-      }
+    // Render the Chrome trace once, cache it with the result, drop the
+    // span buffer. Rendering under mu_ keeps /jobs/<id>/trace trivially
+    // consistent (whole trace or 404, never a partial one).
+    if (job->spans != nullptr) {
+      job->trace = obs::trace_events_to_json(job->spans->events());
+      job->spans.reset();
+      trace_bytes_ += static_cast<std::int64_t>(job->trace.size());
     }
     const bool cancelled =
         job->user_cancelled.load(std::memory_order_acquire);
@@ -511,7 +507,8 @@ void PartitionServer::supervisor_loop() {
   auto& reg = obs::Registry::global();
   while (!draining()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    std::vector<std::string> watchdog_dumps;
+    // (job id, phase) per watchdog fire, dumped after mu_ is released.
+    std::vector<std::pair<std::string, std::string>> watchdog_dumps;
     {
       std::lock_guard<std::mutex> lock(mu_);
       const std::int64_t now = steady_ms();
@@ -527,15 +524,23 @@ void PartitionServer::supervisor_loop() {
         if (!slot->busy.load(std::memory_order_acquire)) continue;
         const std::int64_t age =
             now - slot->start_ms.load(std::memory_order_acquire);
-        if (config_.hang_seconds > 0.0 && age > hang_limit_ms &&
-            !slot->cancel.exchange(true, std::memory_order_acq_rel)) {
-          reg.add(server_metrics().watchdog_fires);
-          obs::log_warn("svc", "server watchdog cancelled a stuck attempt",
-                        {{"id", job->spec.id},
-                         {"age_seconds", static_cast<double>(age) / 1000.0}});
-          if (!config_.flight_dir.empty()) {
-            watchdog_dumps.push_back(job->spec.id);
-          }
+        if (config_.hang_seconds <= 0.0 || age <= hang_limit_ms ||
+            slot->cancel.load(std::memory_order_acquire)) {
+          continue;
+        }
+        // The stuck phase is read before `cancel` is set: once it is, the
+        // runner may return and close its spans before the dump runs.
+        const obs::FlightPhase phase =
+            obs::FlightRecorder::global().current_phase(
+                obs::trace_id_for(job->spec.id));
+        if (slot->cancel.exchange(true, std::memory_order_acq_rel)) continue;
+        reg.add(server_metrics().watchdog_fires);
+        obs::log_warn("svc", "server watchdog cancelled a stuck attempt",
+                      {{"id", job->spec.id},
+                       {"age_seconds", static_cast<double>(age) / 1000.0}});
+        if (!config_.flight_dir.empty()) {
+          watchdog_dumps.emplace_back(job->spec.id,
+                                      phase.found ? phase.name : "");
         }
       }
       reg.set(server_metrics().queue_depth,
@@ -545,12 +550,9 @@ void PartitionServer::supervisor_loop() {
     }
     // Flight dumps happen outside mu_ — they do file IO and walk every
     // recorder shard, neither of which belongs under the server lock.
-    for (const std::string& id : watchdog_dumps) {
-      auto& recorder = obs::FlightRecorder::global();
-      const obs::FlightPhase phase =
-          recorder.current_phase(obs::trace_id_for(id));
-      recorder.dump(config_.flight_dir, "watchdog", id,
-                    phase.found ? phase.name : "");
+    for (const auto& [id, phase] : watchdog_dumps) {
+      obs::FlightRecorder::global().dump(config_.flight_dir, "watchdog", id,
+                                         phase);
     }
     if (journal_ != nullptr && config_.journal_compact_every > 0 &&
         appended_since_compact_.load(std::memory_order_acquire) >=

@@ -10,7 +10,7 @@ namespace fixedpart::util {
 class Timer {
  public:
   /// Monotonic, like every timing source in this repo (Deadline, the svc
-  /// heartbeat watchdog, obs::Tracer): a wall-clock step must not bend
+  /// heartbeat watchdog, obs trace spans): a wall-clock step must not bend
   /// measured durations.
   using Clock = std::chrono::steady_clock;
   static_assert(Clock::is_steady,

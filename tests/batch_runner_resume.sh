@@ -30,8 +30,7 @@ lines=$(wc -l < run.jsonl)
 
 [ -s metrics.json ] || { echo "FAIL: metrics.json missing after halted run"; exit 1; }
 grep -q '"counters"' metrics.json || { echo "FAIL: metrics.json malformed after halted run"; exit 1; }
-# (-f, not -s: under FIXEDPART_OBS=OFF the exposition is legitimately empty)
-[ -f metrics.json.prom ] || { echo "FAIL: metrics.json.prom missing after halted run"; exit 1; }
+[ -s metrics.json.prom ] || { echo "FAIL: metrics.json.prom missing after halted run"; exit 1; }
 
 # Crash artifacts around journal compaction must not derail a resume:
 # a stale .tmp sibling (died between write and rename, or between rename

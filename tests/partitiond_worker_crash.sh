@@ -45,14 +45,6 @@ start_daemon() {
   daemon_pid=$!
   port=""
   for _ in $(seq 1 200); do
-    # Under FIXEDPART_OBS=OFF the HTTP endpoint compiles out: nothing to
-    # probe, trivially pass (same convention as partitiond_restart.sh).
-    if grep -q "FIXEDPART_OBS=OFF" daemon.log 2>/dev/null; then
-      wait "$daemon_pid"
-      daemon_pid=""
-      echo "PASS: partitiond worker crash (endpoint compiled out, OBS=OFF)"
-      exit 0
-    fi
     [ -s port.txt ] && { port=$(head -n1 port.txt); break; }
     sleep 0.05
   done

@@ -31,9 +31,6 @@ JobSpec stuck_spec(const std::string& id) {
 }
 
 TEST(FaultSvcTelemetry, WatchdogFireIsCountedAndHeartbeatAgeVisible) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "built with FIXEDPART_OBS=OFF";
-  }
   auto& registry = obs::Registry::global();
   // The executor registers these lazily on first run; registering here is
   // idempotent and makes the counter readable before the fleet starts.
@@ -86,9 +83,6 @@ TEST(FaultSvcTelemetry, WatchdogFireIsCountedAndHeartbeatAgeVisible) {
 }
 
 TEST(FaultSvcTelemetry, CleanFleetDoesNotFireWatchdog) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "built with FIXEDPART_OBS=OFF";
-  }
   auto& registry = obs::Registry::global();
   registry.counter("svc.watchdog_fires");
   const std::int64_t fires_before =

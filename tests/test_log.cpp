@@ -40,8 +40,6 @@ TEST(LogLevelNames, RoundTrip) {
   EXPECT_EQ(obs::log_level_from_string("bogus"), obs::LogLevel::kInfo);
 }
 
-#if FIXEDPART_OBS_ENABLED
-
 TEST(Log, LineCarriesTimestampsLevelSubsystemAndFields) {
   const std::string path = temp_path("log_format.jsonl");
   {
@@ -196,18 +194,5 @@ TEST(Log, ConcurrentWritersNeverTearLines) {
     EXPECT_NE(line.find("\"msg\": \"m\""), std::string::npos);
   }
 }
-
-#else  // FIXEDPART_OBS_ENABLED == 0
-
-TEST(Log, CompilesToNoOpsWhenDisabled) {
-  obs::Log log;
-  log.set_min_level(obs::LogLevel::kDebug);
-  log.write(obs::LogLevel::kFatal, "t", "ignored", {{"k", 1}});
-  obs::log_info("t", "also ignored");
-  EXPECT_EQ(log.lines_written(), 0u);
-  EXPECT_TRUE(log.ring_lines().empty());
-}
-
-#endif
 
 }  // namespace

@@ -3,9 +3,7 @@
 // validator, every HTTP route exercised through a raw loopback socket,
 // concurrent scrapes against 8 writer threads (the TSan certification of
 // the gauge/label hot paths), and an endpoint lifecycle that must not leak
-// file descriptors. The exposition tests build Snapshots by hand, so they
-// run even under FIXEDPART_OBS=OFF; everything needing a live Registry or
-// a server skips there.
+// file descriptors.
 
 #include <gtest/gtest.h>
 
@@ -202,8 +200,6 @@ TEST(Exposition, NonFiniteGaugesRenderAsSpecTokens) {
   validate_prometheus_text(text);
 }
 
-#if FIXEDPART_OBS_ENABLED
-
 TEST(Exposition, LiveRegistryRoundTrip) {
   obs::Registry registry;
   const auto jobs_ok = registry.counter(
@@ -249,11 +245,9 @@ TEST(Registry, LabelSetCapThrows) {
   EXPECT_NO_THROW(registry.counter(obs::labeled("other", {{"k", "v"}})));
 }
 
-#endif  // FIXEDPART_OBS_ENABLED
-
 // --- the HTTP endpoint ---------------------------------------------------
 
-#if defined(__unix__) && FIXEDPART_OBS_ENABLED
+#ifdef __unix__
 
 /// Minimal blocking HTTP client: one request, reads until EOF (the server
 /// always closes after responding).
@@ -494,11 +488,9 @@ TEST(HttpEndpoint, StartStopWithoutRequests) {
   }  // destructor stops
 }
 
-#endif  // __unix__ && FIXEDPART_OBS_ENABLED
+#endif  // __unix__
 
 // --- the exporter --------------------------------------------------------
-
-#if FIXEDPART_OBS_ENABLED
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -543,7 +535,5 @@ TEST(Exporter, BackgroundThreadTicksPeriodically) {
   EXPECT_NE(slurp(config.json_path).find("\"exp.bg\": 1"),
             std::string::npos);
 }
-
-#endif  // FIXEDPART_OBS_ENABLED
 
 }  // namespace

@@ -145,7 +145,6 @@ TEST(BestOfParallel, NeverWorseThanTheSameStreamsRunSerially) {
   EXPECT_EQ(best.cut, manual_best);
 }
 
-#if FIXEDPART_OBS_ENABLED
 TEST(BestOfParallel, StartsOnPoolWorkersRecordIntoCallerTraceContext) {
   // The trace context is thread-local, so a start claimed by a pool worker
   // only reaches the caller's buffer if best_of_parallel re-pushes the
@@ -169,7 +168,6 @@ TEST(BestOfParallel, StartsOnPoolWorkersRecordIntoCallerTraceContext) {
   EXPECT_EQ(initial, 4);
   for (const obs::TraceEvent& e : events) EXPECT_EQ(e.trace_id, 0x7ACEu);
 }
-#endif
 
 }  // namespace
 }  // namespace fixedpart::ml

@@ -290,8 +290,6 @@ TEST(ProcessPool, ConstructorRejectsBadConfig) {
 
 // --- span streaming over the 'T' frame (PR 10) -----------------------------
 
-#if FIXEDPART_OBS_ENABLED
-
 TEST(ProcessPool, WorkerSpansMergeTimeAlignedAndPidTagged) {
   ProcessPool pool(base_config());
   const JobSpec spec = make_spec("traced-1", 11);
@@ -391,8 +389,6 @@ TEST(ProcessPool, CrashedWorkerLeavesFlightDumpNamingTheJob) {
   EXPECT_NE(dump.find("\"entries\""), std::string::npos);
   fs::remove_all(dir);
 }
-
-#endif  // FIXEDPART_OBS_ENABLED
 
 }  // namespace
 }  // namespace fixedpart::svc

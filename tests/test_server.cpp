@@ -9,9 +9,8 @@
 // vanished spool files, and byte-identical re-serving across a restart.
 // The HTTP half drives a live obs::HttpEndpoint through the socket fault
 // helpers in fault_inject.hpp (torn writes, stalled slowloris clients,
-// oversized bodies), so it is skipped under FIXEDPART_OBS=OFF. The binary
-// carries the `serve` label so the whole surface runs under ASan and TSan
-// on its own (docs/ROBUSTNESS.md).
+// oversized bodies). The binary carries the `serve` label so the whole
+// surface runs under ASan and TSan on its own (docs/ROBUSTNESS.md).
 
 #include "svc/server.hpp"
 
@@ -993,7 +992,6 @@ JobResult traced_runner(const JobSpec& spec, const util::Deadline& deadline) {
 }
 
 TEST(ServerTrace, TraceIsServedAfterCompletionAnd404Before) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "FIXEDPART_OBS=OFF";
   ServerConfig config = base_config();
   config.runner = traced_runner;
   PartitionServer server(config);
@@ -1014,7 +1012,6 @@ TEST(ServerTrace, TraceIsServedAfterCompletionAnd404Before) {
 }
 
 TEST(ServerTrace, TraceBytesGaugeGrowsAndShrinksWithEviction) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "FIXEDPART_OBS=OFF";
   ServerConfig config = base_config();
   config.runner = traced_runner;
   config.done_capacity = 1;
@@ -1049,7 +1046,6 @@ TEST(ServerTrace, TraceBytesGaugeGrowsAndShrinksWithEviction) {
 }
 
 TEST(ServerTrace, RestartAnswers404NotAPartialTrace) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "FIXEDPART_OBS=OFF";
   TempDir dir;
   ServerConfig config = base_config();
   config.runner = traced_runner;
@@ -1100,11 +1096,9 @@ TEST(ServerTrace, ProgressListsRunningJobsWithLivePhase) {
   const std::string progress = server.progress_json();
   EXPECT_NE(progress.find("\"running_jobs\": [{\"id\": \"" + submitted.id),
             std::string::npos);
-  if constexpr (obs::kEnabled) {
-    EXPECT_NE(progress.find("\"phase\": \"test.gated_phase\""),
-              std::string::npos);
-    EXPECT_NE(progress.find("\"phase_seconds\""), std::string::npos);
-  }
+  EXPECT_NE(progress.find("\"phase\": \"test.gated_phase\""),
+            std::string::npos);
+  EXPECT_NE(progress.find("\"phase_seconds\""), std::string::npos);
   gate.release();
   ASSERT_TRUE(eventually([&] { return server.done_total() == 1; }));
   EXPECT_NE(server.progress_json().find("\"running_jobs\": []"),
@@ -1113,7 +1107,6 @@ TEST(ServerTrace, ProgressListsRunningJobsWithLivePhase) {
 }
 
 TEST(ServerTrace, WatchdogFireDumpsFlightRecord) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "FIXEDPART_OBS=OFF";
   TempDir dir;
   Gate gate;  // never released: only the watchdog ends the attempt
   ServerConfig config = base_config();
@@ -1144,7 +1137,7 @@ TEST(ServerTrace, WatchdogFireDumpsFlightRecord) {
   server.drain();
 }
 
-#if FIXEDPART_OBS_ENABLED && defined(__unix__)
+#ifdef __unix__
 
 // --- the HTTP surface (live endpoint + socket faults) -----------------------
 
@@ -1359,7 +1352,7 @@ TEST(ServerHttp, WorkerHangUnderLiveRequestsStaysResponsive) {
   gate.release();
 }
 
-#endif  // FIXEDPART_OBS_ENABLED && __unix__
+#endif  // __unix__
 
 }  // namespace
 }  // namespace fixedpart::svc
