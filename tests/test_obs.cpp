@@ -1,7 +1,9 @@
-// Tests for the observability layer: the sharded metric registry and the
-// PassObserver hook — including the differential that pins the
-// observer-based Table II statistics to a pass_records aggregation of the
-// same runs bit-for-bit. Spans are covered by tests/test_trace.cpp.
+// Tests for the observability layer: the sharded metric registry, scoped
+// spans recorded into a SpanBuffer, and the PassObserver hook — including
+// the differential that pins the observer-based Table II statistics to a
+// pass_records aggregation of the same runs bit-for-bit. Trace contexts,
+// the span wire codec and the flight recorder are covered by
+// tests/test_trace.cpp.
 //
 // The registry merge test is the concurrency surface: run this binary
 // under TSan (ctest -L obs with FIXEDPART_SANITIZE=thread) to certify the
@@ -22,6 +24,7 @@
 #include "gen/regimes.hpp"
 #include "obs/pass_observer.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "part/balance.hpp"
 #include "part/fm.hpp"
 #include "part/initial.hpp"
@@ -136,6 +139,76 @@ TEST(ObsRegistry, SnapshotJsonIsBalanced) {
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"fm.moves\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  int depth = 0;
+  bool in_string = false;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char ch = json[i];
+    if (in_string) {
+      if (ch == '\\') ++i;
+      else if (ch == '"') in_string = false;
+      continue;
+    }
+    if (ch == '"') in_string = true;
+    if (ch == '{' || ch == '[') ++depth;
+    if (ch == '}' || ch == ']') --depth;
+    ASSERT_GE(depth, 0);
+  }
+  EXPECT_EQ(depth, 0);
+  EXPECT_FALSE(in_string);
+}
+
+// ---------------------------------------------------------------- Spans --
+// Spans reach the SpanBuffer of the current ScopedTraceContext.
+
+TEST(ObsTracer, SpansCarryArgsAndNestingSurvives) {
+  obs::SpanBuffer buffer;
+  {
+    obs::ScopedTraceContext context(obs::trace_id_for("nesting"), &buffer);
+    obs::ScopedSpan outer("outer");
+    outer.arg("level", static_cast<std::int64_t>(3)).arg("ratio", 0.5);
+    { obs::ScopedSpan inner("inner"); }
+  }
+  const std::vector<obs::TraceEvent> events = buffer.events();
+  ASSERT_EQ(events.size(), 2u);
+  // Inner span destructs first, so it is recorded first.
+  EXPECT_STREQ(events[0].name, "inner");
+  EXPECT_STREQ(events[1].name, "outer");
+  EXPECT_EQ(events[1].num_args, 2u);
+  EXPECT_STREQ(events[1].args[0].key, "level");
+  EXPECT_TRUE(events[1].args[0].is_int);
+  EXPECT_EQ(events[1].args[0].int_value, 3);
+  EXPECT_FALSE(events[1].args[1].is_int);
+  EXPECT_DOUBLE_EQ(events[1].args[1].double_value, 0.5);
+  // The inner span nests inside the outer on the timeline.
+  EXPECT_GE(events[0].start_ns, events[1].start_ns);
+  EXPECT_LE(events[0].start_ns + events[0].dur_ns,
+            events[1].start_ns + events[1].dur_ns);
+}
+
+TEST(ObsTracer, TraceJsonIsWellFormedChromeFormat) {
+  obs::SpanBuffer buffer;
+  {
+    obs::ScopedTraceContext context(obs::trace_id_for("json"), &buffer);
+    {
+      obs::ScopedSpan a("fm.pass");
+      a.arg("pass", static_cast<std::int64_t>(0));
+    }
+    { obs::ScopedSpan b("ml.project"); }
+  }
+  const std::string json = obs::trace_events_to_json(buffer.events());
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
+  EXPECT_NE(json.find("\"fm.pass\""), std::string::npos);
+  EXPECT_NE(json.find("\"ml.project\""), std::string::npos);
+  // Every event is a complete-event record with the mandatory keys.
+  std::size_t ph = 0;
+  for (std::size_t pos = json.find("\"ph\""); pos != std::string::npos;
+       pos = json.find("\"ph\"", pos + 1)) {
+    ++ph;
+  }
+  EXPECT_EQ(ph, 2u);
+  EXPECT_NE(json.find("\"ts\""), std::string::npos);
+  EXPECT_NE(json.find("\"dur\""), std::string::npos);
   int depth = 0;
   bool in_string = false;
   for (std::size_t i = 0; i < json.size(); ++i) {
