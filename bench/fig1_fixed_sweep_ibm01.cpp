@@ -7,6 +7,6 @@
 
 int main(int argc, char** argv) {
   return fixedpart::util::run_cli_main("fig1_fixed_sweep_ibm01", [&] {
-    return fixedpart::bench::run_fixed_sweep_bench("Fig. 1", 1, argc, argv);
+    return fixedpart::bench::run_sweep_figure("Fig. 1", 1, argc, argv);
   });
 }

@@ -6,6 +6,6 @@
 
 int main(int argc, char** argv) {
   return fixedpart::util::run_cli_main("fig2_fixed_sweep_ibm03", [&] {
-    return fixedpart::bench::run_fixed_sweep_bench("Fig. 2", 3, argc, argv);
+    return fixedpart::bench::run_sweep_figure("Fig. 2", 3, argc, argv);
   });
 }

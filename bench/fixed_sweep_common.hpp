@@ -3,13 +3,13 @@
 // fixed-vertex sweep on one IBMxx-like circuit and prints the six panels
 // (good/rand x raw cut / normalized cut / CPU time) as series tables.
 //
-// The sweep runs through the svc batch engine (one job per regime x
-// percentage x trial x run), so the paper reproductions are supervised
-// and resumable: --journal=FILE checkpoints every finished job,
-// --resume skips them on the next invocation, --workers=N parallelizes
-// (bit-identical results for a given --seed), --budget=SECONDS bounds
-// each job, and Ctrl-C drains gracefully — in-flight jobs finish and are
-// checkpointed before exit.
+// The sweep runs on svc::PartitionServer through svc::run_batch (one job
+// per regime x percentage x trial x run), so the paper reproductions are
+// supervised and resumable: --journal=FILE checkpoints every finished
+// job, --resume skips them on the next invocation, --workers=N
+// parallelizes (bit-identical results for a given --seed),
+// --budget=SECONDS bounds each job, and Ctrl-C drains gracefully —
+// in-flight jobs finish and are checkpointed before exit.
 
 #include <atomic>
 #include <csignal>
@@ -85,8 +85,8 @@ inline void sweep_drain_handler(int) {
   g_sweep_drain.store(true, std::memory_order_release);
 }
 
-inline int run_fixed_sweep_bench(const std::string& figure, int circuit_index,
-                                 int argc, char** argv) {
+inline int run_sweep_figure(const std::string& figure, int circuit_index,
+                            int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const BenchEnv env = bench_env(cli);
   const auto spec = gen::ibm_like_spec(circuit_index, env.scale);

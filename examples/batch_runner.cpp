@@ -1,8 +1,8 @@
-// Supervised batch partitioning: runs a JSONL manifest of JobSpecs
-// through the svc execution engine — worker pool, per-job deadlines,
-// retry with exponential backoff, heartbeat hang cancellation, crash-safe
-// checkpoint journal, SIGINT/SIGTERM graceful drain — and prints an
-// end-of-run summary table. The exit code follows the PR-2 taxonomy
+// Supervised batch partitioning: runs a JSONL manifest of JobSpecs as an
+// in-process client of svc::PartitionServer (svc::run_batch) — worker
+// pool, per-job deadlines, retry with exponential backoff, heartbeat hang
+// cancellation, crash-safe checkpoint journal, SIGINT/SIGTERM graceful
+// drain — and prints an end-of-run summary table. The exit code follows the PR-2 taxonomy
 // (0 ok, 1 poisoned/incomplete, 3 input failures, 4 infeasible).
 //
 //   batch_runner --gen-manifest=jobs.jsonl --jobs=8      # demo manifest
@@ -20,6 +20,7 @@
 #include <csignal>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "obs/exporter.hpp"
@@ -28,8 +29,8 @@
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
 #include "svc/checkpoint.hpp"
-#include "svc/executor.hpp"
 #include "svc/process_pool.hpp"
+#include "svc/server.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cli.hpp"
 #include "util/errors.hpp"
@@ -112,7 +113,7 @@ int run(const util::Cli& cli) {
     }
   }
 
-  svc::ExecutorConfig config;
+  svc::ServerConfig config;
   config.workers = static_cast<int>(cli.get_int("workers", 1));
   config.retry.max_attempts =
       static_cast<int>(cli.get_int("max-attempts", 3));
@@ -121,8 +122,7 @@ int run(const util::Cli& cli) {
   config.retry.backoff_cap_seconds =
       static_cast<double>(cli.get_int("backoff-cap-ms", 30000)) / 1000.0;
   config.hang_seconds = cli.get_double("hang-seconds", 0.0);
-  config.halt_after = static_cast<int>(cli.get_int("halt-after", -1));
-  config.drain = &g_drain;
+  const std::int64_t halt_after = cli.get_int("halt-after", -1);
   std::signal(SIGINT, drain_handler);
   std::signal(SIGTERM, drain_handler);
 
@@ -136,16 +136,31 @@ int run(const util::Cli& cli) {
     util::write_file_atomic(journal_path, "");
   }
 
-  svc::FleetProgress progress;
-  config.progress = &progress;
-
   // Live telemetry: --listen=PORT serves GET /metrics (Prometheus 0.0.4),
   // /metrics.json, /healthz, /progress while the fleet runs; --metrics-out
   // is additionally refreshed every --metrics-interval seconds (and so
   // keeps updating through a SIGINT/SIGTERM drain), not only at fleet end.
+  // /progress is the server's own object with the manifest size spliced
+  // in; once the fleet ends it keeps answering with the last snapshot.
+  std::mutex progress_mu;
+  const svc::PartitionServer* live = nullptr;
+  std::string last_progress = "{\"done\": 0}\n";
+  const auto attach = [&](const svc::PartitionServer* server) {
+    std::lock_guard<std::mutex> lock(progress_mu);
+    if (server == nullptr && live != nullptr) {
+      last_progress = live->progress_json();
+    }
+    live = server;
+  };
   obs::HttpEndpointConfig endpoint_config;
   obs::ExporterConfig exporter_config;
-  endpoint_config.progress = [&progress] { return progress.to_json(); };
+  endpoint_config.progress = [&] {
+    std::lock_guard<std::mutex> lock(progress_mu);
+    std::string body = live != nullptr ? live->progress_json() : last_progress;
+    body.insert(body.rfind('}'),
+                ", \"total\": " + std::to_string(manifest.size()));
+    return body;
+  };
   const std::string metrics_path = cli.get_or("metrics-out", "");
   exporter_config.json_path = metrics_path;
   if (!metrics_path.empty()) {
@@ -176,8 +191,7 @@ int run(const util::Cli& cli) {
   if (isolation != "thread" && isolation != "process") {
     throw util::UsageError("--isolation must be thread|process");
   }
-  std::unique_ptr<svc::ProcessPool> pool;  // outlives the executor run
-  svc::JobRunner runner = svc::run_partition_job;
+  std::unique_ptr<svc::ProcessPool> pool;  // outlives the fleet
   if (isolation == "process") {
     svc::ProcessPoolConfig pool_config;
     pool_config.worker_path =
@@ -186,16 +200,17 @@ int run(const util::Cli& cli) {
         cli.get_int("rlimit-as-mb", 0) * (1ll << 20);
     pool_config.rlimit_cpu_seconds = cli.get_int("rlimit-cpu-seconds", 0);
     pool = std::make_unique<svc::ProcessPool>(pool_config);
-    runner = pool->runner();
+    config.runner = pool->runner();
   }
 
-  svc::BatchExecutor executor(runner, config);
   svc::BatchReport report;
   if (journal_path.empty()) {
-    report = executor.run(manifest, nullptr);
+    report = svc::run_batch(manifest, config, nullptr, &g_drain, halt_after,
+                            attach);
   } else {
     svc::CheckpointJournal journal(journal_path);
-    report = executor.run(manifest, &journal);
+    report = svc::run_batch(manifest, config, &journal, &g_drain, halt_after,
+                            attach);
   }
 
   exporter.stop();

@@ -169,7 +169,7 @@ int run(const util::Cli& cli) {
       // Splice the worker-pool counters into the same /progress object.
       const std::size_t brace = body.rfind('}');
       if (brace != std::string::npos) {
-        body.insert(brace, ", \"workers\": " + pool->stats_json());
+        body.insert(brace, ", \"pool\": " + pool->stats_json());
       }
     }
     return body;

@@ -5,7 +5,10 @@
 #include <map>
 #include <stdexcept>
 
+#include "gen/regimes.hpp"
+#include "svc/server.hpp"
 #include "util/atomic_file.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace fixedpart::exp {
@@ -13,8 +16,7 @@ namespace fixedpart::exp {
 namespace {
 
 /// Folds the per-trial, per-run cuts/seconds of one (regime, percentage)
-/// point into its best-of-prefix cells (one per starts value). Shared by
-/// the in-process and the supervised sweep drivers.
+/// point into its best-of-prefix cells (one per starts value).
 std::vector<SweepCell> cells_from_runs(
     const std::vector<std::vector<Weight>>& cuts,
     const std::vector<std::vector<double>>& seconds,
@@ -46,76 +48,7 @@ std::vector<SweepCell> cells_from_runs(
   return cells;
 }
 
-/// Runs one regime (a series of FixedAssignments indexed by percentage).
-SweepSeries run_series(const InstanceContext& context,
-                       const SweepConfig& config,
-                       const std::vector<hg::FixedAssignment>& instances,
-                       double normalizer_or_zero, util::Rng& rng,
-                       bool* truncated) {
-  const int max_starts =
-      *std::max_element(config.starts.begin(), config.starts.end());
-
-  SweepSeries series;
-  series.cells.resize(instances.size());
-  series.best_seen.assign(instances.size(),
-                          std::numeric_limits<Weight>::max());
-
-  for (std::size_t pi = 0; pi < instances.size(); ++pi) {
-    const hg::FixedAssignment& fixed = instances[pi];
-    const ml::MultilevelPartitioner partitioner(context.circuit.graph, fixed,
-                                                context.balance);
-    // cuts[t][r], seconds[t][r]: r-th independent run of trial t.
-    std::vector<std::vector<Weight>> cuts(
-        static_cast<std::size_t>(config.trials));
-    std::vector<std::vector<double>> seconds(
-        static_cast<std::size_t>(config.trials));
-    for (int t = 0; t < config.trials; ++t) {
-      for (int r = 0; r < max_starts; ++r) {
-        const auto run = partitioner.run(rng, config.ml);
-        *truncated |= run.truncated;
-        cuts[t].push_back(run.cut);
-        seconds[t].push_back(run.seconds);
-        series.best_seen[pi] = std::min(series.best_seen[pi], run.cut);
-      }
-    }
-    series.cells[pi] = cells_from_runs(cuts, seconds, config.starts,
-                                       normalizer_or_zero,
-                                       series.best_seen[pi]);
-  }
-  return series;
-}
-
 }  // namespace
-
-SweepResult run_fixed_sweep(const InstanceContext& context,
-                            const SweepConfig& config, util::Rng& rng) {
-  if (config.trials < 1) throw std::invalid_argument("sweep: trials < 1");
-  if (config.starts.empty() || config.percentages.empty()) {
-    throw std::invalid_argument("sweep: empty starts/percentages");
-  }
-
-  SweepResult result;
-  result.percentages = config.percentages;
-  result.starts = config.starts;
-
-  // One nested random series defines both regimes (the paper fixes the
-  // same incrementally-chosen vertices; only the side assignment differs).
-  gen::FixedVertexSeries series(context.circuit.graph, 2, rng);
-  std::vector<hg::FixedAssignment> good_instances;
-  std::vector<hg::FixedAssignment> rand_instances;
-  for (double pct : config.percentages) {
-    good_instances.push_back(
-        series.good_regime(pct, context.good_reference));
-    rand_instances.push_back(series.rand_regime(pct));
-  }
-
-  result.good = run_series(context, config, good_instances,
-                           static_cast<double>(context.good_cut), rng,
-                           &result.truncated);
-  result.rand = run_series(context, config, rand_instances, 0.0, rng,
-                           &result.truncated);
-  return result;
-}
 
 SupervisedSweepRun run_supervised_sweep(
     const InstanceContext& context, const SweepConfig& config,
@@ -175,12 +108,11 @@ SupervisedSweepRun run_supervised_sweep(
     return svc::JobResult{run.cut, run.truncated};
   };
 
-  svc::ExecutorConfig exec;
-  exec.workers = options.workers;
-  exec.retry = options.retry;
-  exec.hang_seconds = options.hang_seconds;
-  exec.drain = options.drain;
-  svc::BatchExecutor executor(runner, exec);
+  svc::ServerConfig server;
+  server.workers = options.workers;
+  server.retry = options.retry;
+  server.hang_seconds = options.hang_seconds;
+  server.runner = runner;
 
   SupervisedSweepRun out;
   if (!options.journal_path.empty()) {
@@ -189,9 +121,9 @@ SupervisedSweepRun run_supervised_sweep(
       util::write_file_atomic(options.journal_path, "");
     }
     svc::CheckpointJournal journal(options.journal_path);
-    out.report = executor.run(manifest, &journal);
+    out.report = svc::run_batch(manifest, server, &journal, options.drain);
   } else {
-    out.report = executor.run(manifest, nullptr);
+    out.report = svc::run_batch(manifest, server, nullptr, options.drain);
   }
 
   if (!out.report.complete() || out.report.failed > 0 ||

@@ -21,9 +21,7 @@
 #include <vector>
 
 #include "experiments/context.hpp"
-#include "gen/regimes.hpp"
 #include "svc/executor.hpp"
-#include "util/rng.hpp"
 
 namespace fixedpart::exp {
 
@@ -61,18 +59,14 @@ struct SweepResult {
   bool truncated = false;
 };
 
-SweepResult run_fixed_sweep(const InstanceContext& context,
-                            const SweepConfig& config, util::Rng& rng);
-
-// --- supervised (resumable) sweep ----------------------------------------
-//
-// The same experiment expressed as a fleet of svc::JobSpecs — one job per
-// (regime, percentage, trial, run) — executed through the batch engine, so
-// the paper reproductions inherit its guarantees: per-job deadlines,
-// retry-with-backoff, hang cancellation, graceful drain, and crash-safe
-// checkpoint/resume. Every job's seed is pre-forked from `seed` in
-// manifest order, so results are deterministic regardless of worker count
-// and a resumed sweep is bit-identical to an uninterrupted one.
+// The experiment runs as a fleet of svc::JobSpecs — one job per (regime,
+// percentage, trial, run) — on svc::PartitionServer through
+// svc::run_batch, so the paper reproductions inherit the service's
+// guarantees: per-job deadlines, retry-with-backoff, hang cancellation,
+// graceful drain, and crash-safe checkpoint/resume. Every job's seed is
+// pre-forked from `seed` in manifest order, so results are deterministic
+// regardless of worker count and a resumed sweep is bit-identical to an
+// uninterrupted one.
 
 struct SupervisedSweepOptions {
   int workers = 1;

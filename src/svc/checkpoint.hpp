@@ -1,9 +1,9 @@
 #pragma once
-// Crash-safe checkpoint journal for the batch executor: an append-only
-// JSONL file with one JobOutcome per line. Durability model
+// Crash-safe checkpoint journal for batch fleets (svc::run_batch): an
+// append-only JSONL file with one JobOutcome per line. Durability model
 // (docs/ROBUSTNESS.md):
 //
-//  * every append is flushed and fsynced before the executor counts the
+//  * every append is flushed and fsynced before run_batch counts the
 //    job as checkpointed, so a kill -9 mid-sweep loses at most the jobs
 //    that were still in flight;
 //  * a crash can leave at most one torn (partial) trailing line; load()

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <new>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <thread>
 
@@ -20,7 +19,6 @@
 #include "hg/io_hmetis.hpp"
 #include "ml/multilevel.hpp"
 #include "obs/log.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "part/balance.hpp"
 #include "util/errors.hpp"
@@ -204,72 +202,6 @@ JobOutcome run_supervised_job(const JobRunner& runner, const JobSpec& spec,
   return out;
 }
 
-void FleetProgress::begin(std::int64_t total, std::int64_t resumed,
-                          int workers) {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_ = total;
-  done_ = resumed;
-  ok_ = truncated_ = failed_ = poisoned_ = 0;
-  resumed_ = resumed;
-  workers_ = std::max(workers, 1);
-  seconds_ = util::RunningStat();
-  has_best_ = false;
-  best_cut_ = 0;
-}
-
-void FleetProgress::record(const JobOutcome& outcome) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++done_;
-  switch (outcome.status) {
-    case JobStatus::kOk: ++ok_; break;
-    case JobStatus::kTruncated: ++truncated_; break;
-    case JobStatus::kFailed: ++failed_; break;
-    case JobStatus::kPoisoned: ++poisoned_; break;
-  }
-  seconds_.add(outcome.seconds);
-  if (outcome.status == JobStatus::kOk ||
-      outcome.status == JobStatus::kTruncated) {
-    if (!has_best_ || outcome.cut < best_cut_) {
-      has_best_ = true;
-      best_cut_ = outcome.cut;
-    }
-  }
-}
-
-std::int64_t FleetProgress::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-std::int64_t FleetProgress::done() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return done_;
-}
-
-std::string FleetProgress::to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const double mean = seconds_.empty() ? 0.0 : seconds_.mean();
-  const std::int64_t remaining = std::max<std::int64_t>(total_ - done_, 0);
-  const double eta =
-      mean * static_cast<double>(remaining) / static_cast<double>(workers_);
-  std::ostringstream out;
-  out.precision(3);
-  out << std::fixed;
-  out << "{\"total\": " << total_ << ", \"done\": " << done_
-      << ", \"ok\": " << ok_ << ", \"truncated\": " << truncated_
-      << ", \"failed\": " << failed_ << ", \"poisoned\": " << poisoned_
-      << ", \"resumed\": " << resumed_ << ", \"workers\": " << workers_
-      << ", \"mean_job_seconds\": " << mean << ", \"eta_seconds\": " << eta
-      << ", \"best_cut\": ";
-  if (has_best_) {
-    out << best_cut_;
-  } else {
-    out << "null";
-  }
-  out << "}\n";
-  return out.str();
-}
-
 int BatchReport::exit_code() const {
   if (poisoned > 0 || !complete()) return util::kExitInternal;
   if (failed > 0) {
@@ -291,257 +223,6 @@ std::string BatchReport::summary() const {
       << " resumed=" << resumed << " abandoned=" << abandoned;
   if (drained) out << " (drained)";
   return out.str();
-}
-
-BatchExecutor::BatchExecutor(JobRunner runner, ExecutorConfig config)
-    : runner_(std::move(runner)), config_(std::move(config)) {
-  if (!runner_) throw std::invalid_argument("BatchExecutor: null runner");
-  if (config_.workers < 1) {
-    throw std::invalid_argument("BatchExecutor: workers < 1");
-  }
-  if (config_.retry.max_attempts < 1) {
-    throw std::invalid_argument("BatchExecutor: max_attempts < 1");
-  }
-}
-
-BatchReport BatchExecutor::run(const std::vector<JobSpec>& manifest,
-                               CheckpointJournal* journal) {
-  {
-    std::set<std::string> ids;
-    for (const JobSpec& spec : manifest) {
-      if (!ids.insert(spec.id).second) {
-        throw util::InputError("executor: duplicate job id \"" + spec.id +
-                               "\"");
-      }
-    }
-  }
-
-  // Resume: journaled outcomes are finished work, including permanent
-  // failures — only jobs with no outcome are (re)dispatched.
-  std::vector<std::optional<JobOutcome>> outcomes(manifest.size());
-  BatchReport report;
-  if (journal != nullptr) {
-    std::map<std::string, JobOutcome> done;
-    for (JobOutcome& outcome : journal->open_for_append()) {
-      done.insert_or_assign(outcome.id, std::move(outcome));
-    }
-    for (std::size_t i = 0; i < manifest.size(); ++i) {
-      const auto it = done.find(manifest[i].id);
-      if (it != done.end()) {
-        outcomes[i] = it->second;
-        ++report.resumed;
-      }
-    }
-  }
-
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < manifest.size(); ++i) {
-    if (!outcomes[i].has_value()) pending.push_back(i);
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> halted{false};
-  std::atomic<int> active{0};
-  std::mutex commit_mu;  // guards journal appends + outcome commits
-  std::int64_t committed = 0;
-  std::exception_ptr journal_error;
-
-  const int workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(config_.workers), pending.size()));
-  std::vector<AttemptSlot> slots(
-      static_cast<std::size_t>(std::max(workers, 1)));
-
-  // Live telemetry: queue/worker/heartbeat/best-cut gauges plus the
-  // labeled per-state job counter family, updated at job boundaries and
-  // supervisor ticks so an attached /metrics endpoint sees the fleet
-  // move.
-  auto& obs_reg = obs::Registry::global();
-  struct LiveIds {
-    obs::MetricId queue_depth, inflight, heartbeat_age, best_cut;
-    obs::MetricId watchdog_fires;
-    obs::MetricId jobs_by_state[4];  ///< indexed by JobStatus
-  };
-  static const LiveIds live = [] {
-    auto& reg = obs::Registry::global();
-    return LiveIds{
-        reg.gauge("svc.queue_depth"),
-        reg.gauge("svc.inflight_workers"),
-        reg.gauge("svc.heartbeat_age_seconds"),
-        reg.gauge("svc.best_cut"),
-        reg.counter("svc.watchdog_fires"),
-        {reg.counter(obs::labeled("svc.jobs", {{"state", "ok"}})),
-         reg.counter(obs::labeled("svc.jobs", {{"state", "truncated"}})),
-         reg.counter(obs::labeled("svc.jobs", {{"state", "failed"}})),
-         reg.counter(obs::labeled("svc.jobs", {{"state", "poisoned"}}))},
-    };
-  }();
-  if (config_.progress != nullptr) {
-    config_.progress->begin(static_cast<std::int64_t>(manifest.size()),
-                            report.resumed, std::max(workers, 1));
-  }
-  obs_reg.set(live.queue_depth, static_cast<double>(pending.size()));
-  obs_reg.set(live.inflight, 0.0);
-  obs_reg.set(live.heartbeat_age, 0.0);
-  obs::log_info("svc", "fleet started",
-                {{"jobs", static_cast<std::int64_t>(manifest.size())},
-                 {"resumed", report.resumed},
-                 {"workers", std::max(workers, 0)}});
-  bool fleet_has_best = false;  // guarded by commit_mu
-  Weight fleet_best = 0;
-
-  const auto draining = [&] {
-    return halted.load(std::memory_order_acquire) ||
-           (config_.drain != nullptr &&
-            config_.drain->load(std::memory_order_acquire));
-  };
-
-  // The attempt loop itself lives in run_supervised_job (shared with the
-  // PartitionServer); each worker supplies its slot and the drain policy.
-  SupervisedHooks hooks;
-  hooks.fault_hook = config_.fault_hook;
-  hooks.sleep_fn = config_.sleep_fn;
-  hooks.stop_retrying = draining;
-
-  const auto worker = [&](std::size_t slot_index) {
-    AttemptSlot& slot = slots[slot_index];
-    while (!draining()) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= pending.size()) break;
-      const std::size_t manifest_index = pending[i];
-      JobOutcome out = run_supervised_job(runner_, manifest[manifest_index],
-                                          config_.retry, slot, hooks);
-      std::lock_guard<std::mutex> lock(commit_mu);
-      // A halt between claim and commit is the simulated kill -9: the
-      // result is lost exactly like a genuinely in-flight job.
-      if (halted.load(std::memory_order_acquire)) break;
-      if (journal != nullptr && !journal_error) {
-        try {
-          journal->append(out);
-        } catch (const std::exception& e) {
-          obs::log_error("svc", "checkpoint journal append failed",
-                         {{"id", out.id}, {"what", e.what()}});
-          journal_error = std::current_exception();
-          halted.store(true, std::memory_order_release);
-          break;
-        } catch (...) {
-          journal_error = std::current_exception();
-          halted.store(true, std::memory_order_release);
-          break;
-        }
-      }
-      if (config_.progress != nullptr) config_.progress->record(out);
-      obs_reg.add(live.jobs_by_state[static_cast<std::size_t>(out.status)]);
-      if ((out.status == JobStatus::kOk ||
-           out.status == JobStatus::kTruncated) &&
-          (!fleet_has_best || out.cut < fleet_best)) {
-        fleet_has_best = true;
-        fleet_best = out.cut;
-        obs_reg.set(live.best_cut, static_cast<double>(fleet_best));
-      }
-      obs::log_debug("svc", "job finished",
-                     {{"id", out.id},
-                      {"status", to_string(out.status)},
-                      {"attempts", out.attempts},
-                      {"cut", static_cast<std::int64_t>(out.cut)},
-                      {"seconds", out.seconds}});
-      outcomes[manifest_index] = std::move(out);
-      ++committed;
-      if (config_.halt_after >= 0 && committed >= config_.halt_after) {
-        halted.store(true, std::memory_order_release);
-        // Expedite the abandonment: in-flight attempts unwind at their
-        // next deadline check instead of running to completion.
-        for (AttemptSlot& other : slots) {
-          other.cancel.store(true, std::memory_order_release);
-        }
-        break;
-      }
-    }
-    active.fetch_sub(1, std::memory_order_acq_rel);
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  active.store(workers, std::memory_order_release);
-  for (int t = 0; t < workers; ++t) {
-    pool.emplace_back(worker, static_cast<std::size_t>(t));
-  }
-
-  // Supervisor: heartbeat-based hang detection while the pool drains,
-  // plus the per-tick refresh of the live gauges.
-  const auto hang_limit_ms =
-      static_cast<std::int64_t>(config_.hang_seconds * 1000.0);
-  while (active.load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    const std::int64_t now = steady_ms();
-    int busy_workers = 0;
-    std::int64_t oldest_heartbeat_ms = 0;
-    for (AttemptSlot& slot : slots) {
-      if (!slot.busy.load(std::memory_order_acquire)) continue;
-      ++busy_workers;
-      const std::int64_t age =
-          now - slot.start_ms.load(std::memory_order_acquire);
-      oldest_heartbeat_ms = std::max(oldest_heartbeat_ms, age);
-      if (config_.hang_seconds > 0.0 && age > hang_limit_ms &&
-          !slot.cancel.exchange(true, std::memory_order_acq_rel)) {
-        obs_reg.add(live.watchdog_fires);
-        obs::log_warn("svc", "hang watchdog cancelled a stuck attempt",
-                      {{"age_seconds", static_cast<double>(age) / 1000.0},
-                       {"hang_seconds", config_.hang_seconds}});
-      }
-    }
-    obs_reg.set(live.inflight, static_cast<double>(busy_workers));
-    obs_reg.set(live.heartbeat_age,
-                static_cast<double>(oldest_heartbeat_ms) / 1000.0);
-    const std::size_t claimed =
-        std::min(next.load(std::memory_order_relaxed), pending.size());
-    obs_reg.set(live.queue_depth,
-                static_cast<double>(pending.size() - claimed));
-  }
-  for (std::thread& thread : pool) thread.join();
-  obs_reg.set(live.inflight, 0.0);
-  obs_reg.set(live.heartbeat_age, 0.0);
-  if (journal_error) std::rethrow_exception(journal_error);
-
-  for (const std::optional<JobOutcome>& outcome : outcomes) {
-    if (!outcome.has_value()) {
-      ++report.abandoned;
-      continue;
-    }
-    report.outcomes.push_back(*outcome);
-    switch (outcome->status) {
-      case JobStatus::kOk: ++report.ok; break;
-      case JobStatus::kTruncated: ++report.truncated; break;
-      case JobStatus::kFailed: ++report.failed; break;
-      case JobStatus::kPoisoned: ++report.poisoned; break;
-    }
-    if (outcome->attempts > 1) ++report.retried;
-  }
-  report.drained = draining();
-  auto& reg = obs::Registry::global();
-  static const obs::MetricId jobs_ok = reg.counter("svc.jobs_ok");
-  static const obs::MetricId jobs_truncated =
-      reg.counter("svc.jobs_truncated");
-  static const obs::MetricId jobs_failed = reg.counter("svc.jobs_failed");
-  static const obs::MetricId jobs_poisoned =
-      reg.counter("svc.jobs_poisoned");
-  static const obs::MetricId jobs_retried = reg.counter("svc.jobs_retried");
-  static const obs::MetricId jobs_resumed = reg.counter("svc.jobs_resumed");
-  static const obs::MetricId attempts_hist =
-      reg.histogram("svc.job_attempts", 1.0, 11.0, 10);
-  reg.add(jobs_ok, report.ok);
-  reg.add(jobs_truncated, report.truncated);
-  reg.add(jobs_failed, report.failed);
-  reg.add(jobs_poisoned, report.poisoned);
-  reg.add(jobs_retried, report.retried);
-  reg.add(jobs_resumed, report.resumed);
-  for (const JobOutcome& outcome : report.outcomes) {
-    reg.observe(attempts_hist, static_cast<double>(outcome.attempts));
-  }
-  obs::log_info("svc", "fleet finished",
-                {{"summary", report.summary()},
-                 {"drained", report.drained},
-                 {"exit_code", report.exit_code()}});
-  return report;
 }
 
 // --- the standard partition-job runner -----------------------------------

@@ -1,7 +1,10 @@
 #pragma once
-// Supervised batch execution: a worker pool that keeps a fleet of
-// partitioning jobs making progress when individual jobs crash, hang, run
-// out of budget, or the whole process is killed mid-sweep.
+// The job boundary shared by every supervised run: run_supervised_job
+// keeps one partitioning job making progress when its attempts crash,
+// hang or run out of budget, and run_partition_job is the standard
+// runner. svc::PartitionServer is the one supervisor around it (worker
+// pool, heartbeat watchdog, drain); batch fleets and sweeps are
+// in-process manifest clients of that server (svc::run_batch).
 //
 // Per job: its own util::Deadline (budget + a supervisor-owned cancel
 // flag), every exception caught at the job boundary and classified via
@@ -9,11 +12,6 @@
 // internal errors, deadline truncation) retried with exponential backoff
 // and deterministic jitter, permanent failures (InputError,
 // InfeasibleError) failed fast, jobs poisoned after max_attempts.
-//
-// Per fleet: an optional checkpoint journal (resume skips finished jobs),
-// a heartbeat watchdog that cancels attempts stuck past hang_seconds
-// through Deadline::set_cancel_flag, and a drain flag (SIGINT/SIGTERM)
-// that finishes in-flight jobs, checkpoints them, and returns.
 //
 // Determinism: a job's result depends only on its JobSpec (seed included)
 // — never on worker count, scheduling, or other jobs — so the canonical
@@ -24,53 +22,16 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "svc/checkpoint.hpp"
 #include "svc/job.hpp"
 #include "util/deadline.hpp"
-#include "util/stats.hpp"
 
 namespace fixedpart::svc {
 
-/// Live fleet progress, updated by the executor at job boundaries (commit
-/// time) and readable concurrently from other threads — this is what the
-/// obs::HttpEndpoint /progress route serves while a fleet runs. The ETA
-/// is a naive extrapolation: mean finished-job wall time times remaining
-/// jobs, divided by the worker count.
-class FleetProgress {
- public:
-  /// Resets and arms the tracker for a fleet of `total` jobs, `resumed`
-  /// of which were restored from a journal (counted as done).
-  void begin(std::int64_t total, std::int64_t resumed, int workers);
-  /// Records one committed outcome.
-  void record(const JobOutcome& outcome);
-
-  std::int64_t total() const;
-  std::int64_t done() const;
-  /// {"total": ..., "done": ..., per-state counts, "mean_job_seconds":
-  /// ..., "eta_seconds": ..., "best_cut": ... | null} (one line).
-  std::string to_json() const;
-
- private:
-  mutable std::mutex mu_;
-  std::int64_t total_ = 0;
-  std::int64_t done_ = 0;
-  std::int64_t ok_ = 0;
-  std::int64_t truncated_ = 0;
-  std::int64_t failed_ = 0;
-  std::int64_t poisoned_ = 0;
-  std::int64_t resumed_ = 0;
-  int workers_ = 1;
-  util::RunningStat seconds_;  ///< per finished job, this process only
-  bool has_best_ = false;
-  Weight best_cut_ = 0;
-};
-
-/// What one successful attempt reports back to the executor.
+/// What one successful attempt reports back to the supervisor.
 struct JobResult {
   Weight cut = 0;
   bool truncated = false;
@@ -102,8 +63,8 @@ struct RetryPolicy {
 };
 
 /// Monotonic milliseconds (steady_clock), the time base for AttemptSlot
-/// heartbeats — exposed so every supervisor (BatchExecutor, the
-/// PartitionServer watchdog) ages slots against the same clock.
+/// heartbeats — exposed so the PartitionServer watchdog and the process
+/// pool age slots against the same clock.
 std::int64_t steady_ms();
 
 /// Per-attempt heartbeat a supervisor watches: `busy` + `start_ms` say how
@@ -139,38 +100,11 @@ struct SupervisedHooks {
 /// taxonomy, transient/internal failures retried with deterministic
 /// backoff, permanent ones failed fast, the job poisoned once attempts run
 /// out. `slot` carries the live heartbeat; a supervisor watching it may
-/// set slot.cancel to cut the running attempt short. Used by both
-/// BatchExecutor workers and svc::PartitionServer.
+/// set slot.cancel to cut the running attempt short. Called by every
+/// svc::PartitionServer worker.
 JobOutcome run_supervised_job(const JobRunner& runner, const JobSpec& spec,
                               const RetryPolicy& retry, AttemptSlot& slot,
                               const SupervisedHooks& hooks = {});
-
-struct ExecutorConfig {
-  int workers = 1;
-  RetryPolicy retry;
-  /// Cancel an attempt running longer than this (0 = no watchdog). The
-  /// cancellation is cooperative — the engine unwinds at its next deadline
-  /// check and the attempt reports truncated.
-  double hang_seconds = 0.0;
-  /// Graceful drain (not owned): when it becomes true, in-flight jobs
-  /// finish and are checkpointed, nothing new is dispatched.
-  const std::atomic<bool>* drain = nullptr;
-  /// Live progress tracker (not owned, may be null). begin() is called at
-  /// fleet start and record() per committed outcome, so a /progress
-  /// endpoint polling it sees job counts move while the fleet runs.
-  FleetProgress* progress = nullptr;
-
-  // --- test / fault-injection hooks -------------------------------------
-  /// Called on the worker thread before each attempt (1-based); may throw
-  /// to inject failures. In the spirit of tests/fault_inject.hpp.
-  std::function<void(const JobSpec&, int attempt)> fault_hook;
-  /// Simulated kill -9: once this many outcomes have been checkpointed,
-  /// stop dispatching and *discard* in-flight results (they never reach
-  /// the journal). < 0 disables.
-  std::int64_t halt_after = -1;
-  /// Backoff sleep override (tests capture delays instead of sleeping).
-  std::function<void(double seconds)> sleep_fn;
-};
 
 struct BatchReport {
   /// One entry per finished job, in manifest order (resumed jobs keep
@@ -193,22 +127,6 @@ struct BatchReport {
   int exit_code() const;
   /// One-line counts for logs: "ok=5 truncated=1 ...".
   std::string summary() const;
-};
-
-class BatchExecutor {
- public:
-  BatchExecutor(JobRunner runner, ExecutorConfig config);
-
-  /// Runs every manifest job without a journal entry. `journal` may be
-  /// null (no checkpointing, no resume). Manifest ids must be unique.
-  /// Exceptions escaping the runner never escape run(); journal IO errors
-  /// and invalid manifests do.
-  BatchReport run(const std::vector<JobSpec>& manifest,
-                  CheckpointJournal* journal);
-
- private:
-  JobRunner runner_;
-  ExecutorConfig config_;
 };
 
 /// The standard runner: materializes the instance described by the spec

@@ -45,7 +45,7 @@ struct JobSpec {
   /// the same serial multilevel engine per start, but the stream
   /// derivation differs, so 1 and > 1 can give different cuts; every
   /// value > 1 yields the same outcome, only wall-clock changes. Total
-  /// process concurrency stays bounded by executor workers + pool size
+  /// process concurrency stays bounded by server workers + pool size
   /// however large this knob is, because jobs borrow workers from one
   /// shared pool instead of spawning threads (docs/PARALLELISM.md).
   int threads_per_job = 1;
@@ -75,7 +75,7 @@ enum class ErrorClass : std::uint8_t {
 };
 
 /// Retryable failure injected by infrastructure (IO hiccups, test fault
-/// hooks). The executor backs off and retries these like bad_alloc.
+/// hooks). run_supervised_job backs off and retries these like bad_alloc.
 class TransientError : public std::runtime_error {
  public:
   explicit TransientError(const std::string& msg) : std::runtime_error(msg) {}

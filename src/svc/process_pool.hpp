@@ -5,14 +5,14 @@
 // loop — kills one worker and not the daemon (docs/ROBUSTNESS.md
 // "Process supervision tree").
 //
-// ProcessPool::attempt has the exact JobRunner shape, so both
-// svc::PartitionServer and svc::BatchExecutor gain isolation by swapping
-// the runner (--isolation=process), and a crashed attempt re-enters the
-// *existing* retry/backoff loop in run_supervised_job: the pool reports a
-// crash by throwing WorkerCrashError (transient → retried in a fresh
-// worker) or, once the same job has crashed max_job_crashes workers,
-// WorkerPoisonedError (the circuit breaker → failed(crash), never retried
-// again). Because the job protocol — spec in, outcome out — is the same
+// ProcessPool::attempt has the exact JobRunner shape, so
+// svc::PartitionServer — daemon and batch fleets alike — gains isolation
+// by swapping the runner (--isolation=process), and a crashed attempt
+// re-enters the *existing* retry/backoff loop in run_supervised_job: the
+// pool reports a crash by throwing WorkerCrashError (transient → retried
+// in a fresh worker) or, once the same job has crashed max_job_crashes
+// workers, WorkerPoisonedError (the circuit breaker → failed(crash), never
+// retried again). Because the job protocol — spec in, outcome out — is the same
 // JSONL the journals use, journal bytes are identical across isolation
 // modes for crash-free fleets.
 //

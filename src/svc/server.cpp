@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -169,12 +170,13 @@ std::int64_t parse_int_param(const std::string& key,
   }
 }
 
-// Live metric ids, registered once (OFF build: all no-ops).
+// Live metric ids, registered once: the one svc metric family, whether
+// the jobs arrive over HTTP (partitiond) or from a manifest (run_batch).
 struct ServerMetrics {
   obs::MetricId submitted, shed, cache_hits, cancelled, recovered;
   obs::MetricId watchdog_fires;
-  obs::MetricId queue_depth, inflight, trace_bytes;
-  obs::MetricId job_seconds, queue_wait_seconds;
+  obs::MetricId queue_depth, inflight, heartbeat_age, trace_bytes;
+  obs::MetricId job_seconds, queue_wait_seconds, job_attempts;
   obs::MetricId jobs_by_state[4];  ///< indexed by JobStatus
 };
 
@@ -182,23 +184,23 @@ const ServerMetrics& server_metrics() {
   static const ServerMetrics metrics = [] {
     auto& reg = obs::Registry::global();
     return ServerMetrics{
-        reg.counter("svc.server.submitted"),
-        reg.counter("svc.server.shed"),
-        reg.counter("svc.server.cache_hits"),
-        reg.counter("svc.server.cancelled"),
-        reg.counter("svc.server.recovered"),
-        reg.counter("svc.server.watchdog_fires"),
-        reg.gauge("svc.server.queue_depth"),
-        reg.gauge("svc.server.inflight"),
-        reg.gauge("svc.server.trace_bytes"),
-        reg.histogram("svc.server.job_seconds", 0.0, 30.0, 30),
-        reg.histogram("svc.server.queue_wait_seconds", 0.0, 30.0, 30),
-        {reg.counter(obs::labeled("svc.server.jobs", {{"state", "ok"}})),
-         reg.counter(
-             obs::labeled("svc.server.jobs", {{"state", "truncated"}})),
-         reg.counter(obs::labeled("svc.server.jobs", {{"state", "failed"}})),
-         reg.counter(
-             obs::labeled("svc.server.jobs", {{"state", "poisoned"}}))},
+        reg.counter("svc.submitted"),
+        reg.counter("svc.shed"),
+        reg.counter("svc.cache_hits"),
+        reg.counter("svc.cancelled"),
+        reg.counter("svc.recovered"),
+        reg.counter("svc.watchdog_fires"),
+        reg.gauge("svc.queue_depth"),
+        reg.gauge("svc.inflight_workers"),
+        reg.gauge("svc.heartbeat_age_seconds"),
+        reg.gauge("svc.trace_bytes"),
+        reg.histogram("svc.job_seconds", 0.0, 30.0, 30),
+        reg.histogram("svc.queue_wait_seconds", 0.0, 30.0, 30),
+        reg.histogram("svc.job_attempts", 1.0, 11.0, 10),
+        {reg.counter(obs::labeled("svc.jobs", {{"state", "ok"}})),
+         reg.counter(obs::labeled("svc.jobs", {{"state", "truncated"}})),
+         reg.counter(obs::labeled("svc.jobs", {{"state", "failed"}})),
+         reg.counter(obs::labeled("svc.jobs", {{"state", "poisoned"}}))},
     };
   }();
   return metrics;
@@ -354,18 +356,31 @@ void PartitionServer::start() {
   }
   if (!config_.journal_path.empty()) {
     journal_ = std::make_unique<LineJournal>(config_.journal_path);
-    std::lock_guard<std::mutex> lock(mu_);
-    replay_journal();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      replay_journal();
+    }
+    compact_journal_if_due();
   }
   slots_.clear();
   for (int i = 0; i < config_.workers; ++i) {
     slots_.push_back(std::make_unique<AttemptSlot>());
   }
+  // The supervisor makes its first allocation (its metric shard) before
+  // any worker exists. glibc binds a thread to a malloc arena at its
+  // first allocation and frees arenas in thread-exit order, so a server
+  // started and drained once per batch fleet then keeps its workers on
+  // the same arenas; otherwise they rotate through one more arena and
+  // peak RSS grows by that arena's engine memory (~2 MB on sweep-fixed).
+  supervisor_ = std::thread([this] { supervisor_loop(); });
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    supervisor_cv_.wait(lock, [this] { return supervisor_ready_; });
+  }
   workers_.reserve(static_cast<std::size_t>(config_.workers));
   for (int i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(*slots_[i]); });
   }
-  supervisor_ = std::thread([this] { supervisor_loop(); });
   started_ = true;
   obs::log_info("svc", "partition server started",
                 {{"workers", config_.workers},
@@ -375,15 +390,31 @@ void PartitionServer::start() {
                  {"recovered", recovered_}});
 }
 
-void PartitionServer::drain() {
-  draining_.store(true, std::memory_order_release);
+void PartitionServer::request_drain() {
+  {
+    // Stored under mu_: a worker between its wait predicate and its block
+    // would otherwise miss the notify and sleep through the drain.
+    std::lock_guard<std::mutex> lock(mu_);
+    draining_.store(true, std::memory_order_release);
+  }
   cv_.notify_all();
+}
+
+void PartitionServer::drain() {
+  request_drain();
   std::lock_guard<std::mutex> drain_lock(drain_mu_);
   if (joined_) return;
   joined_ = true;
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
+  // The watchdog outlives the workers: an attempt that hangs during the
+  // drain is still cancelled.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    workers_joined_ = true;
+  }
+  supervisor_cv_.notify_all();
   if (supervisor_.joinable()) supervisor_.join();
   if (started_) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -448,6 +479,7 @@ void PartitionServer::worker_loop(AttemptSlot& slot) {
 void PartitionServer::finish_job(const std::shared_ptr<ServerJob>& job,
                                  JobOutcome outcome) {
   std::string done_line;
+  JobOutcome committed;  // on_commit's copy, taken under mu_
   {
     std::lock_guard<std::mutex> lock(mu_);
     job->slot = nullptr;
@@ -485,6 +517,8 @@ void PartitionServer::finish_job(const std::shared_ptr<ServerJob>& job,
     auto& reg = obs::Registry::global();
     reg.set(server_metrics().trace_bytes, static_cast<double>(trace_bytes_));
     reg.observe(server_metrics().job_seconds, job->outcome.seconds);
+    reg.observe(server_metrics().job_attempts,
+                static_cast<double>(job->outcome.attempts));
     reg.add(server_metrics()
                 .jobs_by_state[static_cast<std::size_t>(job->outcome.status)]);
     obs::log_debug("svc", "server job finished",
@@ -497,72 +531,84 @@ void PartitionServer::finish_job(const std::shared_ptr<ServerJob>& job,
     // already carries the spec, so (accept, done) replays to this state.
     done_line =
         "{\"event\": \"done\", " + to_json_line(job->outcome).substr(1);
+    if (config_.on_commit) committed = job->outcome;
   }
   journal_append(done_line);
+  compact_journal_if_due();
+  if (config_.on_commit) config_.on_commit(committed);
 }
 
 void PartitionServer::supervisor_loop() {
   const auto hang_limit_ms =
       static_cast<std::int64_t>(config_.hang_seconds * 1000.0);
   auto& reg = obs::Registry::global();
-  while (!draining()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::unique_lock<std::mutex> lock(mu_);
+  reg.set(server_metrics().heartbeat_age, 0.0);
+  supervisor_ready_ = true;
+  supervisor_cv_.notify_all();
+  while (!supervisor_cv_.wait_for(lock, std::chrono::milliseconds(10),
+                                  [this] { return workers_joined_; })) {
     // (job id, phase) per watchdog fire, dumped after mu_ is released.
     std::vector<std::pair<std::string, std::string>> watchdog_dumps;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const std::int64_t now = steady_ms();
-      for (const std::shared_ptr<ServerJob>& job : running_) {
-        AttemptSlot* slot = job->slot;
-        if (slot == nullptr) continue;
-        // A DELETE that raced an attempt's slot reset is re-applied here,
-        // so cooperative cancellation lands within one tick.
-        if (job->user_cancelled.load(std::memory_order_acquire)) {
-          slot->cancel.store(true, std::memory_order_release);
-          continue;
-        }
-        if (!slot->busy.load(std::memory_order_acquire)) continue;
-        const std::int64_t age =
-            now - slot->start_ms.load(std::memory_order_acquire);
-        if (config_.hang_seconds <= 0.0 || age <= hang_limit_ms ||
-            slot->cancel.load(std::memory_order_acquire)) {
-          continue;
-        }
-        // The stuck phase is read before `cancel` is set: once it is, the
-        // runner may return and close its spans before the dump runs.
-        const obs::FlightPhase phase =
-            obs::FlightRecorder::global().current_phase(
-                obs::trace_id_for(job->spec.id));
-        if (slot->cancel.exchange(true, std::memory_order_acq_rel)) continue;
-        reg.add(server_metrics().watchdog_fires);
-        obs::log_warn("svc", "server watchdog cancelled a stuck attempt",
-                      {{"id", job->spec.id},
-                       {"age_seconds", static_cast<double>(age) / 1000.0}});
-        if (!config_.flight_dir.empty()) {
-          watchdog_dumps.emplace_back(job->spec.id,
-                                      phase.found ? phase.name : "");
-        }
+    const std::int64_t now = steady_ms();
+    std::int64_t oldest_ms = 0;
+    for (const std::shared_ptr<ServerJob>& job : running_) {
+      AttemptSlot* slot = job->slot;
+      if (slot == nullptr) continue;
+      // A DELETE that raced an attempt's slot reset is re-applied here,
+      // so cooperative cancellation lands within one tick.
+      if (job->user_cancelled.load(std::memory_order_acquire)) {
+        slot->cancel.store(true, std::memory_order_release);
+        continue;
       }
-      reg.set(server_metrics().queue_depth,
-              static_cast<double>(queue_.size()));
-      reg.set(server_metrics().inflight,
-              static_cast<double>(running_.size()));
+      if (!slot->busy.load(std::memory_order_acquire)) continue;
+      const std::int64_t age =
+          now - slot->start_ms.load(std::memory_order_acquire);
+      oldest_ms = std::max(oldest_ms, age);
+      if (config_.hang_seconds <= 0.0 || age <= hang_limit_ms ||
+          slot->cancel.load(std::memory_order_acquire)) {
+        continue;
+      }
+      // The stuck phase is read before `cancel` is set: once it is, the
+      // runner may return and close its spans before the dump runs.
+      const obs::FlightPhase phase =
+          obs::FlightRecorder::global().current_phase(
+              obs::trace_id_for(job->spec.id));
+      if (slot->cancel.exchange(true, std::memory_order_acq_rel)) continue;
+      reg.add(server_metrics().watchdog_fires);
+      obs::log_warn("svc", "server watchdog cancelled a stuck attempt",
+                    {{"id", job->spec.id},
+                     {"age_seconds", static_cast<double>(age) / 1000.0}});
+      if (!config_.flight_dir.empty()) {
+        watchdog_dumps.emplace_back(job->spec.id,
+                                    phase.found ? phase.name : "");
+      }
     }
+    reg.set(server_metrics().queue_depth, static_cast<double>(queue_.size()));
+    reg.set(server_metrics().inflight, static_cast<double>(running_.size()));
+    reg.set(server_metrics().heartbeat_age,
+            static_cast<double>(oldest_ms) / 1000.0);
+    if (watchdog_dumps.empty()) continue;
     // Flight dumps happen outside mu_ — they do file IO and walk every
     // recorder shard, neither of which belongs under the server lock.
+    lock.unlock();
     for (const auto& [id, phase] : watchdog_dumps) {
       obs::FlightRecorder::global().dump(config_.flight_dir, "watchdog", id,
                                          phase);
     }
-    if (journal_ != nullptr && config_.journal_compact_every > 0 &&
-        appended_since_compact_.load(std::memory_order_acquire) >=
-            config_.journal_compact_every) {
-      compact_journal();
-    }
+    lock.lock();
   }
+  reg.set(server_metrics().inflight, 0.0);
+  reg.set(server_metrics().heartbeat_age, 0.0);
 }
 
-void PartitionServer::compact_journal() {
+void PartitionServer::compact_journal_if_due() {
+  const auto due = [this] {
+    return journal_ != nullptr && config_.journal_compact_every > 0 &&
+           appended_since_compact_.load(std::memory_order_acquire) >=
+               config_.journal_compact_every;
+  };
+  if (!due()) return;
   // Rewrite the journal to exactly the lines that reconstruct the live
   // job map: per job (in admission order) an accept line, its done line
   // if finished, its cancel line if cancelled. Everything evicted from
@@ -572,8 +618,10 @@ void PartitionServer::compact_journal() {
   // journal_mu_) means any done line already appended is also in the
   // rebuilt state; a finish_job racing the gap between its commit and
   // its append at worst duplicates a done line, which replay treats
-  // idempotently.
+  // idempotently. mu_ also serializes compactions: a commit that waited
+  // here behind another one's rewrite finds nothing due any more.
   std::lock_guard<std::mutex> lock(mu_);
+  if (!due()) return;
   std::vector<std::shared_ptr<ServerJob>> by_seq;
   by_seq.reserve(jobs_.size());
   for (const auto& [id, job] : jobs_) by_seq.push_back(job);
@@ -778,9 +826,35 @@ SubmitResult PartitionServer::submit(const std::string& body,
     const std::uint64_t h1 = fnv1a(key_material);
     const std::uint64_t h2 = splitmix64(h1 ^ key_material.size());
     spec.id = hex64(h1) + hex64(h2);
-    result.id = spec.id;
+    if (!upload.empty()) {
+      spec.instance = config_.spool_dir + "/" + spec.id + upload_ext;
+    }
+    return submit(std::move(spec), priority, upload);
+  } catch (const hg::ParseError& error) {
+    result.http_status = 400;
+    result.body = json_error(error.what());
+  } catch (const util::InputError& error) {
+    result.http_status = 400;
+    result.body = json_error(error.what());
+  } catch (const std::exception& error) {
+    result.http_status = 500;
+    result.body = json_error(error.what());
+  }
+  return result;
+}
 
+SubmitResult PartitionServer::submit(JobSpec spec, int priority,
+                                     const std::string& upload) {
+  SubmitResult result;
+  result.id = spec.id;
+  try {
     std::unique_lock<std::mutex> lock(mu_);
+    if (draining()) {
+      result.http_status = 503;
+      result.id.clear();
+      result.body = json_error("server is draining; resubmit elsewhere");
+      return result;
+    }
     const auto it = jobs_.find(spec.id);
     if (it != jobs_.end()) {
       ServerJob& job = *it->second;
@@ -816,11 +890,8 @@ SubmitResult PartitionServer::submit(const std::string& body,
       // Spool before journaling the acceptance, so a replayed accept
       // always finds its input bytes (crash between the two just forgets
       // the request — the client retries idempotently).
-      const std::string spool_path =
-          config_.spool_dir + "/" + spec.id + upload_ext;
-      util::write_file_atomic(spool_path, upload);
-      util::sync_parent_dir(spool_path);
-      spec.instance = spool_path;
+      util::write_file_atomic(spec.instance, upload);
+      util::sync_parent_dir(spec.instance);
     }
 
     // The acceptance is journaled before the job becomes visible to any
@@ -832,7 +903,7 @@ SubmitResult PartitionServer::submit(const std::string& body,
         ", " + to_json_line(spec).substr(1));
     std::shared_ptr<ServerJob>& job = jobs_[spec.id];
     if (job == nullptr) job = std::make_shared<ServerJob>();
-    job->spec = spec;
+    job->spec = std::move(spec);
     job->priority = priority;
     job->seq = next_seq_++;
     job->enqueue_ms = steady_ms();
@@ -845,13 +916,8 @@ SubmitResult PartitionServer::submit(const std::string& body,
     lock.unlock();
     cv_.notify_one();
     return result;
-  } catch (const hg::ParseError& error) {
-    result.http_status = 400;
-    result.body = json_error(error.what());
-  } catch (const util::InputError& error) {
-    result.http_status = 400;
-    result.body = json_error(error.what());
   } catch (const std::exception& error) {
+    // Only spooling IO can throw here.
     result.http_status = 500;
     result.body = json_error(error.what());
   }
@@ -999,7 +1065,8 @@ std::string PartitionServer::progress_json() const {
   std::ostringstream out;
   out.precision(3);
   out << std::fixed;
-  out << "{\"queued\": " << queue_.size()
+  out << "{\"workers\": " << config_.workers
+      << ", \"queued\": " << queue_.size()
       << ", \"running\": " << running_.size()
       << ", \"done\": " << done_total_
       << ", \"cancelled\": " << cancelled_total_
@@ -1064,6 +1131,129 @@ std::int64_t PartitionServer::journal_compactions() const {
 double PartitionServer::retry_after_seconds() const {
   std::lock_guard<std::mutex> lock(mu_);
   return retry_after_locked();
+}
+
+BatchReport run_batch(
+    const std::vector<JobSpec>& manifest, ServerConfig config,
+    CheckpointJournal* journal, const std::atomic<bool>* drain,
+    std::int64_t halt_after,
+    const std::function<void(const PartitionServer*)>& attach) {
+  std::map<std::string, std::size_t> index;  // id -> manifest position
+  for (std::size_t i = 0; i < manifest.size(); ++i) {
+    if (!index.emplace(manifest[i].id, i).second) {
+      throw util::InputError("batch: duplicate job id \"" + manifest[i].id +
+                             "\"");
+    }
+  }
+
+  // Resume: journaled outcomes are finished work, including permanent
+  // failures — only jobs with no outcome are (re)submitted.
+  std::vector<std::optional<JobOutcome>> outcomes(manifest.size());
+  BatchReport report;
+  if (journal != nullptr) {
+    std::map<std::string, JobOutcome> done;
+    for (JobOutcome& outcome : journal->open_for_append()) {
+      done.insert_or_assign(outcome.id, std::move(outcome));
+    }
+    for (std::size_t i = 0; i < manifest.size(); ++i) {
+      const auto it = done.find(manifest[i].id);
+      if (it != done.end()) {
+        outcomes[i] = it->second;
+        ++report.resumed;
+      }
+    }
+  }
+  const std::size_t pending =
+      manifest.size() - static_cast<std::size_t>(report.resumed);
+  obs::log_info("svc", "fleet started",
+                {{"jobs", static_cast<std::int64_t>(manifest.size())},
+                 {"resumed", report.resumed},
+                 {"workers", config.workers}});
+
+  const auto drain_requested = [drain] {
+    return drain != nullptr && drain->load(std::memory_order_acquire);
+  };
+  std::mutex mu;  // guards the fields below and checkpoint appends
+  std::condition_variable cv;
+  std::size_t committed = 0;
+  bool halted = false;  // simulated kill -9 or a failed checkpoint append
+  std::exception_ptr journal_error;
+  if (pending > 0) {
+    config.workers = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(config.workers), pending));
+    config.queue_capacity = pending;
+    // The report and the checkpoint are the record: no event journal, and
+    // no result cache holding every finished job and its trace.
+    config.journal_path.clear();
+    config.done_capacity = 0;
+    config.hooks.stop_retrying = [drain_requested,
+                                  base = config.hooks.stop_retrying] {
+      return drain_requested() || (base && base());
+    };
+    std::optional<PartitionServer> server;
+    config.on_commit = [&](const JobOutcome& out) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (!halted) {
+        try {
+          if (journal != nullptr) journal->append(out);
+          outcomes[index.at(out.id)] = out;
+          ++committed;
+          halted = halt_after >= 0 &&
+                   static_cast<std::int64_t>(committed) >= halt_after;
+        } catch (const std::exception& e) {
+          obs::log_error("svc", "checkpoint journal append failed",
+                         {{"id", out.id}, {"what", e.what()}});
+          journal_error = std::current_exception();
+          halted = true;
+        }
+      }
+      const bool stop = halted || drain_requested();
+      lock.unlock();
+      cv.notify_all();
+      // Checked at every job boundary, before this worker takes the next
+      // job: a drain raised mid-job lets that job finish and nothing after.
+      if (stop) server->request_drain();
+    };
+    server.emplace(std::move(config));
+    for (std::size_t i = 0; i < manifest.size(); ++i) {
+      if (!outcomes[i].has_value()) server->submit(manifest[i], 0);
+    }
+    if (drain_requested()) server->request_drain();
+    server->start();
+    if (attach) attach(&*server);
+    {
+      // The drain flag is set from a signal handler, which cannot notify:
+      // poll it on the supervisor's tick.
+      std::unique_lock<std::mutex> lock(mu);
+      while (!halted && committed < pending && !drain_requested()) {
+        cv.wait_for(lock, std::chrono::milliseconds(10));
+      }
+    }
+    server->drain();  // in-flight jobs finish; after a halt they are dropped
+    if (attach) attach(nullptr);
+  }
+  if (journal_error) std::rethrow_exception(journal_error);
+
+  for (const std::optional<JobOutcome>& outcome : outcomes) {
+    if (!outcome.has_value()) {
+      ++report.abandoned;
+      continue;
+    }
+    report.outcomes.push_back(*outcome);
+    switch (outcome->status) {
+      case JobStatus::kOk: ++report.ok; break;
+      case JobStatus::kTruncated: ++report.truncated; break;
+      case JobStatus::kFailed: ++report.failed; break;
+      case JobStatus::kPoisoned: ++report.poisoned; break;
+    }
+    if (outcome->attempts > 1) ++report.retried;
+  }
+  report.drained = halted || drain_requested();
+  obs::log_info("svc", "fleet finished",
+                {{"summary", report.summary()},
+                 {"drained", report.drained},
+                 {"exit_code", report.exit_code()}});
+  return report;
 }
 
 }  // namespace fixedpart::svc

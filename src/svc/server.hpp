@@ -31,12 +31,15 @@
 // The class is HTTP-agnostic at its core (submit/status_json/cancel are
 // plain functions — that is what the unit tests drive); handle() adapts
 // it to obs::HttpEndpoint's handler callback, and examples/partitiond.cpp
-// is the daemon around it.
+// is the daemon around it. It is also the only job supervisor: run_batch
+// drives batch fleets and the paper sweeps through it as an in-process
+// manifest client (submit(JobSpec, priority) + ServerConfig::on_commit).
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -68,8 +71,9 @@ struct ServerConfig {
   /// past this are shed with 429.
   std::size_t queue_capacity = 16;
   RetryPolicy retry;
-  /// Cancel attempts running longer than this (0 = no watchdog), as in
-  /// ExecutorConfig::hang_seconds.
+  /// Cancel attempts running longer than this (0 = no watchdog). The
+  /// cancellation is cooperative — the engine unwinds at its next
+  /// deadline check and the attempt reports truncated.
   double hang_seconds = 0.0;
   /// Budget applied when a request does not name one (0 = unlimited).
   double default_budget_seconds = 10.0;
@@ -106,6 +110,12 @@ struct ServerConfig {
   JobRunner runner;
   /// Fault/sleep test hooks forwarded into run_supervised_job.
   SupervisedHooks hooks;
+  /// Called once per committed outcome (done or cancelled-while-running),
+  /// on the worker thread, after the done line is journaled and outside
+  /// the server lock; it may call request_drain(), cancel() and the
+  /// read-only accessors. Queued jobs cancelled before they ran never
+  /// produce an outcome.
+  std::function<void(const JobOutcome&)> on_commit;
 };
 
 /// What submit() decided, pre-shaped for HTTP but usable without it.
@@ -129,14 +139,26 @@ class PartitionServer {
   /// Graceful drain: refuse new work, finish running jobs, join every
   /// thread. Queued jobs stay journaled for the next start. Idempotent.
   void drain();
+  /// The non-blocking half of drain(): refuse new work and stop
+  /// dispatching queued jobs. Safe from any thread, on_commit included.
+  void request_drain();
   bool draining() const {
     return draining_.load(std::memory_order_acquire);
   }
 
   /// POST /partition: `body` is a raw .hgr/.fpb upload or a flat-JSON
   /// spec; `query` tunes priority and engine knobs
-  /// ("priority=2&starts=4&budget_seconds=1.5&seed=7..."). Never throws.
+  /// ("priority=2&starts=4&budget_seconds=1.5&seed=7..."). Applies the
+  /// budget default and ceiling, names the job by its content hash and
+  /// hands it to the admission overload below. Never throws.
   SubmitResult submit(const std::string& body, const std::string& query);
+  /// Admission: cache hit or in-flight dedupe by spec.id, the capacity
+  /// check (429), the journaled accept, the enqueue. The spec is taken as
+  /// given — id and budget included — so in-process clients keep their
+  /// own ids. A non-empty `upload` is spooled to spec.instance once the
+  /// job is admitted. Never throws.
+  SubmitResult submit(JobSpec spec, int priority,
+                      const std::string& upload = "");
   /// GET /jobs/<id>: one-line JSON job record. Sets `http_status` to 200
   /// or 404.
   std::string status_json(const std::string& id, int* http_status);
@@ -153,8 +175,8 @@ class PartitionServer {
   /// obs::HttpEndpoint handler adapter: POST /partition, GET|DELETE
   /// /jobs/<id>, GET /jobs. Returns false for unclaimed routes.
   bool handle(const obs::HttpRequest& request, obs::HttpResponse& response);
-  /// One-line JSON for /progress: queue/running/done counts, shed and
-  /// cache-hit totals, observed service rate, drain flag.
+  /// One-line JSON for /progress: worker, queue/running/done counts, shed
+  /// and cache-hit totals, observed service rate, drain flag.
   std::string progress_json() const;
 
   // Introspection (tests, daemon logs).
@@ -178,7 +200,9 @@ class PartitionServer {
   void finish_job(const std::shared_ptr<ServerJob>& job, JobOutcome outcome);
   void journal_append(const std::string& line);
   void replay_journal();
-  void compact_journal();
+  /// Compacts once journal_compact_every appends have accumulated; runs
+  /// on the commit path (and after replay), one thread at a time.
+  void compact_journal_if_due();
   std::string job_json_locked(const ServerJob& job) const;
   double retry_after_locked() const;
 
@@ -186,7 +210,8 @@ class PartitionServer {
   JobRunner runner_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;             ///< workers: queue or drain
+  std::condition_variable supervisor_cv_;  ///< supervisor ready / workers gone
   std::map<std::string, std::shared_ptr<ServerJob>> jobs_;
   std::vector<std::shared_ptr<ServerJob>> queue_;
   std::vector<std::shared_ptr<ServerJob>> running_;
@@ -199,17 +224,19 @@ class PartitionServer {
   std::int64_t cancelled_total_ = 0;
   std::int64_t recovered_ = 0;
   /// Bytes of cached per-job trace JSON currently held (the
-  /// svc.server.trace_bytes gauge); grows at commit, shrinks at eviction.
+  /// svc.trace_bytes gauge); grows at commit, shrinks at eviction.
   std::int64_t trace_bytes_ = 0;
 
   std::mutex journal_mu_;  ///< always acquired after mu_ (or without it)
   std::unique_ptr<LineJournal> journal_;
-  /// Lines appended since the last compaction/replay; the supervisor
+  /// Lines appended since the last compaction/replay; the commit path
   /// compacts once it crosses journal_compact_every.
   std::atomic<std::int64_t> appended_since_compact_{0};
   std::atomic<std::int64_t> compactions_{0};
 
-  std::atomic<bool> draining_{false};
+  std::atomic<bool> draining_{false};  ///< written under mu_
+  bool workers_joined_ = false;        ///< guarded by mu_; stops the watchdog
+  bool supervisor_ready_ = false;      ///< guarded by mu_; see start()
   bool started_ = false;
   std::mutex drain_mu_;  ///< makes drain() idempotent across threads
   bool joined_ = false;  ///< guarded by drain_mu_
@@ -217,5 +244,25 @@ class PartitionServer {
   std::vector<std::thread> workers_;
   std::thread supervisor_;
 };
+
+/// Runs a manifest to completion as an in-process client of a
+/// PartitionServer built from `config` — the one worker pool, watchdog
+/// and metric family — with no event journal and a queue that holds
+/// every pending job. Manifest ids must be unique and are kept as job
+/// ids; budgets are taken as given. `journal` (may be null) is the
+/// resumable checkpoint: jobs it already holds are skipped, and every
+/// commit appends exactly one outcome line. When `*drain` becomes true,
+/// running jobs finish and are checkpointed and nothing new starts.
+/// `halt_after` >= 0 simulates kill -9 after that many checkpointed
+/// outcomes: dispatch stops and in-flight results are discarded.
+/// `attach` (optional) sees the live server after start and nullptr
+/// before it is destroyed (batch_runner serves /progress from it).
+/// Runner exceptions never escape; journal IO errors and invalid
+/// manifests do.
+BatchReport run_batch(
+    const std::vector<JobSpec>& manifest, ServerConfig config,
+    CheckpointJournal* journal, const std::atomic<bool>* drain = nullptr,
+    std::int64_t halt_after = -1,
+    const std::function<void(const PartitionServer*)>& attach = {});
 
 }  // namespace fixedpart::svc

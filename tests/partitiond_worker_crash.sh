@@ -99,8 +99,8 @@ expect_worker_stat() {
   req GET /progress
   local got
   got=$(echo "$reply" | sed -n "s/.*\"$key\": \([0-9]*\).*/\1/p" | head -n1)
-  [ -n "$got" ] || { echo "FAIL: /progress lacks workers.$key"; echo "$reply"; exit 1; }
-  [ "$got" -ge "$min" ] || { echo "FAIL: workers.$key=$got < $min"; echo "$reply"; exit 1; }
+  [ -n "$got" ] || { echo "FAIL: /progress lacks pool.$key"; echo "$reply"; exit 1; }
+  [ "$got" -ge "$min" ] || { echo "FAIL: pool.$key=$got < $min"; echo "$reply"; exit 1; }
 }
 
 # --- 1..3: one daemon carries the kill -9, crash-once and poison phases --

@@ -1,4 +1,9 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "experiments/context.hpp"
 #include "experiments/derive_report.hpp"
@@ -39,7 +44,11 @@ TEST(FixedSweep, ShapesAndInvariants) {
   config.percentages = {0.0, 10.0, 30.0};
   config.starts = {1, 2};
   config.trials = 2;
-  const SweepResult result = run_fixed_sweep(ctx, config, rng);
+  SupervisedSweepOptions options;
+  options.seed = 2;
+  const SupervisedSweepRun run = run_supervised_sweep(ctx, config, options);
+  ASSERT_TRUE(run.result.has_value()) << run.report.summary();
+  const SweepResult& result = *run.result;
 
   ASSERT_EQ(result.good.cells.size(), 3u);
   ASSERT_EQ(result.rand.cells.size(), 3u);
@@ -72,10 +81,60 @@ TEST(FixedSweep, Validation) {
   const InstanceContext ctx = make_context(tiny_spec(), 1, 2.0, rng);
   SweepConfig config;
   config.trials = 0;
-  EXPECT_THROW(run_fixed_sweep(ctx, config, rng), std::invalid_argument);
+  EXPECT_THROW(run_supervised_sweep(ctx, config, {}), std::invalid_argument);
   config.trials = 1;
   config.starts = {};
-  EXPECT_THROW(run_fixed_sweep(ctx, config, rng), std::invalid_argument);
+  EXPECT_THROW(run_supervised_sweep(ctx, config, {}), std::invalid_argument);
+}
+
+// A resumed sweep whose checkpoint already holds every job runs nothing
+// and rebuilds the same table from the journal alone.
+TEST(FixedSweep, ResumeRunsNothingAndMatches) {
+  util::Rng rng(6);
+  const InstanceContext ctx = make_context(tiny_spec(), 2, 2.0, rng);
+  SweepConfig config;
+  config.percentages = {0.0, 20.0};
+  config.starts = {1, 2};
+  config.trials = 1;
+  const std::size_t jobs = 2 * 2 * 1 * 2;  // regimes x % x trials x runs
+  const std::string journal =
+      (std::filesystem::temp_directory_path() /
+       ("fp_sweep_resume_" + std::to_string(::getpid()) + ".jsonl"))
+          .string();
+  SupervisedSweepOptions options;
+  options.workers = 2;
+  options.seed = 6;
+  options.journal_path = journal;
+  const SupervisedSweepRun first = run_supervised_sweep(ctx, config, options);
+  ASSERT_TRUE(first.result.has_value()) << first.report.summary();
+  std::ifstream in(journal);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) lines += !line.empty();
+  EXPECT_EQ(lines, jobs);
+
+  options.resume = true;
+  const SupervisedSweepRun resumed =
+      run_supervised_sweep(ctx, config, options);
+  std::filesystem::remove(journal);
+  EXPECT_EQ(resumed.report.resumed, static_cast<std::int64_t>(jobs));
+  ASSERT_TRUE(resumed.result.has_value()) << resumed.report.summary();
+  for (SweepSeries SweepResult::*series :
+       {&SweepResult::good, &SweepResult::rand}) {
+    const SweepSeries& a = (*first.result).*series;
+    const SweepSeries& b = (*resumed.result).*series;
+    EXPECT_EQ(a.best_seen, b.best_seen);
+    ASSERT_EQ(a.cells.size(), b.cells.size());
+    for (std::size_t pi = 0; pi < a.cells.size(); ++pi) {
+      ASSERT_EQ(a.cells[pi].size(), b.cells[pi].size());
+      for (std::size_t s = 0; s < a.cells[pi].size(); ++s) {
+        EXPECT_EQ(a.cells[pi][s].avg_best_cut, b.cells[pi][s].avg_best_cut);
+        EXPECT_EQ(a.cells[pi][s].normalized, b.cells[pi][s].normalized);
+        // The journal keeps each job's seconds to the microsecond.
+        EXPECT_NEAR(a.cells[pi][s].avg_seconds, b.cells[pi][s].avg_seconds,
+                    1e-5);
+      }
+    }
+  }
 }
 
 TEST(PassStats, RowsPerPercentage) {

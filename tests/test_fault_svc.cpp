@@ -2,9 +2,9 @@
 // cancels a genuinely stuck attempt, the obs layer must record it — the
 // svc.watchdog_fires counter increments exactly once per cancelled
 // attempt, and svc.heartbeat_age_seconds is observed above zero while the
-// attempt hangs. Scrapes run concurrently with the fleet (the executor is
-// driven from a helper thread), which is exactly how a live /metrics
-// endpoint sees a hang in production.
+// attempt hangs. Scrapes run concurrently with the fleet (run_batch is
+// driven from a helper thread, on PartitionServer's watchdog), which is
+// exactly how a live /metrics endpoint sees a hang in production.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include <thread>
 
 #include "obs/registry.hpp"
-#include "svc/executor.hpp"
+#include "svc/server.hpp"
 #include "util/deadline.hpp"
 
 namespace {
@@ -32,28 +32,27 @@ JobSpec stuck_spec(const std::string& id) {
 
 TEST(FaultSvcTelemetry, WatchdogFireIsCountedAndHeartbeatAgeVisible) {
   auto& registry = obs::Registry::global();
-  // The executor registers these lazily on first run; registering here is
+  // The server registers these lazily on first use; registering here is
   // idempotent and makes the counter readable before the fleet starts.
   registry.counter("svc.watchdog_fires");
   const std::int64_t fires_before =
       registry.scrape().counter("svc.watchdog_fires");
 
-  ExecutorConfig config;
+  ServerConfig config;
   config.hang_seconds = 0.05;
   config.retry.retry_truncated = false;
-  config.sleep_fn = [](double) {};
-  auto runner = [](const JobSpec&, const util::Deadline& deadline) {
+  config.hooks.sleep_fn = [](double) {};
+  config.runner = [](const JobSpec&, const util::Deadline& deadline) {
     // Simulated hang: loops until the supervisor's watchdog cancels it.
     while (!deadline.expired()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return JobResult{1, true};
   };
-  BatchExecutor executor(runner, config);
 
   BatchReport report;
   std::thread fleet([&] {
-    report = executor.run({stuck_spec("stuck")}, nullptr);
+    report = run_batch({stuck_spec("stuck")}, config, nullptr);
   });
 
   // While the attempt hangs, concurrent scrapes (a live /metrics reader)
@@ -88,13 +87,12 @@ TEST(FaultSvcTelemetry, CleanFleetDoesNotFireWatchdog) {
   const std::int64_t fires_before =
       registry.scrape().counter("svc.watchdog_fires");
 
-  ExecutorConfig config;
+  ServerConfig config;
   config.hang_seconds = 5.0;  // armed, but nothing hangs
-  auto runner = [](const JobSpec&, const util::Deadline&) {
+  config.runner = [](const JobSpec&, const util::Deadline&) {
     return JobResult{3, false};
   };
-  BatchExecutor executor(runner, config);
-  const BatchReport report = executor.run({stuck_spec("quick")}, nullptr);
+  const BatchReport report = run_batch({stuck_spec("quick")}, config, nullptr);
 
   EXPECT_EQ(report.ok, 1);
   EXPECT_EQ(registry.scrape().counter("svc.watchdog_fires"), fires_before);

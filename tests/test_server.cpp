@@ -1021,8 +1021,7 @@ TEST(ServerTrace, TraceBytesGaugeGrowsAndShrinksWithEviction) {
   ASSERT_EQ(first.http_status, 202);
   ASSERT_TRUE(eventually([&] { return server.done_total() == 1; }));
   const obs::Snapshot after_first = obs::Registry::global().scrape();
-  const obs::GaugeValue* gauge =
-      after_first.gauge("svc.server.trace_bytes");
+  const obs::GaugeValue* gauge = after_first.gauge("svc.trace_bytes");
   ASSERT_NE(gauge, nullptr);
   EXPECT_GT(gauge->value, 0.0);
 
@@ -1039,7 +1038,7 @@ TEST(ServerTrace, TraceBytesGaugeGrowsAndShrinksWithEviction) {
   const std::string survivor = server.trace_json(second.id, &status);
   EXPECT_EQ(status, 200);
   const obs::Snapshot after_evict = obs::Registry::global().scrape();
-  gauge = after_evict.gauge("svc.server.trace_bytes");
+  gauge = after_evict.gauge("svc.trace_bytes");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->value, static_cast<double>(survivor.size()));
   server.drain();

@@ -1,8 +1,9 @@
-// Tests for the supervised batch execution engine (src/svc): JSONL
-// round-trips, manifest validation, journal durability (torn trailing
-// lines, compaction), retry/backoff classification, crash simulation +
-// resume, the determinism guard across worker counts, the hang watchdog,
-// and graceful drain. ctest label: svc.
+// Tests for supervised batch execution (src/svc): JSONL round-trips,
+// manifest validation, journal durability (torn trailing lines,
+// compaction), and batch fleets on PartitionServer via run_batch —
+// retry/backoff classification, crash simulation + resume, the
+// determinism guard across worker counts, the hang watchdog, and
+// graceful drain. ctest label: svc.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +20,8 @@
 
 #include "hg/io_common.hpp"
 #include "svc/checkpoint.hpp"
-#include "svc/executor.hpp"
 #include "svc/job.hpp"
+#include "svc/server.hpp"
 #include "util/errors.hpp"
 
 namespace fixedpart::svc {
@@ -290,15 +291,25 @@ TEST(SvcJournal, CanonicalJournalSortsAndStripsTiming) {
   EXPECT_NE(lines[0].find("\"a\""), std::string::npos);
 }
 
-// ------------------------------------------------------------ executor --
+// ------------------------------------------------------ batch fleets --
+//
+// Fleets run through run_batch, i.e. on PartitionServer's worker pool and
+// watchdog; only how a fleet is configured differs from a daemon.
+
+/// A fleet configuration around `runner` (otherwise ServerConfig's
+/// defaults: one worker, three attempts, no watchdog).
+ServerConfig fleet(JobRunner runner) {
+  ServerConfig config;
+  config.runner = std::move(runner);
+  return config;
+}
 
 TEST(SvcExecutor, RunsAllJobsAndReportsCounts) {
   std::vector<JobSpec> manifest = {simple_spec("a", 10), simple_spec("b", 20),
                                    simple_spec("c", 30)};
-  ExecutorConfig config;
+  ServerConfig config = fleet(scripted_runner);
   config.workers = 2;
-  BatchExecutor executor(scripted_runner, config);
-  const BatchReport report = executor.run(manifest, nullptr);
+  const BatchReport report = run_batch(manifest, config, nullptr);
   ASSERT_EQ(report.outcomes.size(), 3u);
   EXPECT_EQ(report.ok, 3);
   EXPECT_TRUE(report.complete());
@@ -312,25 +323,24 @@ TEST(SvcExecutor, RunsAllJobsAndReportsCounts) {
 
 TEST(SvcExecutor, RejectsDuplicateManifestIds) {
   std::vector<JobSpec> manifest = {simple_spec("a", 1), simple_spec("a", 2)};
-  BatchExecutor executor(scripted_runner, ExecutorConfig{});
-  EXPECT_THROW(executor.run(manifest, nullptr), util::InputError);
+  EXPECT_THROW(run_batch(manifest, fleet(scripted_runner), nullptr),
+               util::InputError);
 }
 
 TEST(SvcExecutor, TransientFailuresRetryWithDeterministicBackoff) {
   std::atomic<int> calls{0};
   std::vector<double> delays;
-  ExecutorConfig config;
+  ServerConfig config = fleet(scripted_runner);
   config.retry.max_attempts = 4;
   config.retry.backoff_base_seconds = 0.5;
   config.retry.jitter_fraction = 0.25;
-  config.fault_hook = [&](const JobSpec&, int attempt) {
+  config.hooks.fault_hook = [&](const JobSpec&, int attempt) {
     calls.fetch_add(1);
     if (attempt <= 2) throw TransientError("injected hiccup");
   };
-  config.sleep_fn = [&](double seconds) { delays.push_back(seconds); };
-  BatchExecutor executor(scripted_runner, config);
+  config.hooks.sleep_fn = [&](double seconds) { delays.push_back(seconds); };
   const BatchReport report =
-      executor.run({simple_spec("flaky", 7)}, nullptr);
+      run_batch({simple_spec("flaky", 7)}, config, nullptr);
   ASSERT_EQ(report.outcomes.size(), 1u);
   EXPECT_EQ(report.outcomes[0].status, JobStatus::kOk);
   EXPECT_EQ(report.outcomes[0].error, ErrorClass::kNone);
@@ -346,25 +356,24 @@ TEST(SvcExecutor, TransientFailuresRetryWithDeterministicBackoff) {
 
   // Deterministic: the same fleet backs off identically.
   std::vector<double> delays2;
-  config.sleep_fn = [&](double seconds) { delays2.push_back(seconds); };
-  BatchExecutor executor2(scripted_runner, config);
-  executor2.run({simple_spec("flaky", 7)}, nullptr);
+  config.hooks.sleep_fn = [&](double seconds) { delays2.push_back(seconds); };
+  run_batch({simple_spec("flaky", 7)}, config, nullptr);
   EXPECT_EQ(delays, delays2);
 }
 
 TEST(SvcExecutor, PermanentFailuresFailFastWithoutRetry) {
   std::atomic<int> calls{0};
-  ExecutorConfig config;
+  ServerConfig config = fleet(scripted_runner);
   config.retry.max_attempts = 5;
-  config.sleep_fn = [](double) {};
-  config.fault_hook = [&](const JobSpec& spec, int) {
+  config.hooks.sleep_fn = [](double) {};
+  config.hooks.fault_hook = [&](const JobSpec& spec, int) {
     calls.fetch_add(1);
     if (spec.id == "badfile") throw util::InputError("no such instance");
     if (spec.id == "overfull") throw util::InfeasibleError("pins overflow");
   };
-  BatchExecutor executor(scripted_runner, config);
-  const BatchReport report = executor.run(
-      {simple_spec("badfile", 1), simple_spec("overfull", 2)}, nullptr);
+  const BatchReport report = run_batch(
+      {simple_spec("badfile", 1), simple_spec("overfull", 2)}, config,
+      nullptr);
   ASSERT_EQ(report.outcomes.size(), 2u);
   EXPECT_EQ(report.outcomes[0].status, JobStatus::kFailed);
   EXPECT_EQ(report.outcomes[0].error, ErrorClass::kInput);
@@ -379,14 +388,14 @@ TEST(SvcExecutor, PermanentFailuresFailFastWithoutRetry) {
 }
 
 TEST(SvcExecutor, PoisonedAfterMaxAttempts) {
-  ExecutorConfig config;
+  ServerConfig config = fleet(scripted_runner);
   config.retry.max_attempts = 3;
-  config.sleep_fn = [](double) {};
-  config.fault_hook = [](const JobSpec&, int) {
+  config.hooks.sleep_fn = [](double) {};
+  config.hooks.fault_hook = [](const JobSpec&, int) {
     throw TransientError("always down");
   };
-  BatchExecutor executor(scripted_runner, config);
-  const BatchReport report = executor.run({simple_spec("cursed", 3)}, nullptr);
+  const BatchReport report =
+      run_batch({simple_spec("cursed", 3)}, config, nullptr);
   ASSERT_EQ(report.outcomes.size(), 1u);
   EXPECT_EQ(report.outcomes[0].status, JobStatus::kPoisoned);
   EXPECT_EQ(report.outcomes[0].error, ErrorClass::kTransient);
@@ -398,14 +407,13 @@ TEST(SvcExecutor, PoisonedAfterMaxAttempts) {
 }
 
 TEST(SvcExecutor, InternalErrorsAreRetriedThenPoisoned) {
-  ExecutorConfig config;
+  ServerConfig config = fleet(scripted_runner);
   config.retry.max_attempts = 2;
-  config.sleep_fn = [](double) {};
+  config.hooks.sleep_fn = [](double) {};
   std::vector<JobSpec> manifest = {simple_spec("boom", 1)};
   manifest[0].regime = "rand";
   manifest[0].instance = "explode";  // scripted_runner throws runtime_error
-  BatchExecutor executor(scripted_runner, config);
-  const BatchReport report = executor.run(manifest, nullptr);
+  const BatchReport report = run_batch(manifest, config, nullptr);
   ASSERT_EQ(report.outcomes.size(), 1u);
   EXPECT_EQ(report.outcomes[0].status, JobStatus::kPoisoned);
   EXPECT_EQ(report.outcomes[0].error, ErrorClass::kInternal);
@@ -414,17 +422,15 @@ TEST(SvcExecutor, InternalErrorsAreRetriedThenPoisoned) {
 
 TEST(SvcExecutor, TruncatedAttemptsKeepBestResult) {
   // Attempt 1 truncates with cut 90; attempt 2 completes with cut 50.
-  ExecutorConfig config;
-  config.retry.max_attempts = 3;
-  config.sleep_fn = [](double) {};
   std::atomic<int> attempt_no{0};
-  auto runner = [&](const JobSpec&, const util::Deadline&) {
+  ServerConfig config = fleet([&](const JobSpec&, const util::Deadline&) {
     const int attempt = attempt_no.fetch_add(1) + 1;
     if (attempt == 1) return JobResult{90, true};
     return JobResult{50, false};
-  };
-  BatchExecutor executor(runner, config);
-  const BatchReport report = executor.run({simple_spec("t", 1)}, nullptr);
+  });
+  config.retry.max_attempts = 3;
+  config.hooks.sleep_fn = [](double) {};
+  const BatchReport report = run_batch({simple_spec("t", 1)}, config, nullptr);
   ASSERT_EQ(report.outcomes.size(), 1u);
   EXPECT_EQ(report.outcomes[0].status, JobStatus::kOk);
   EXPECT_EQ(report.outcomes[0].cut, 50);
@@ -433,14 +439,12 @@ TEST(SvcExecutor, TruncatedAttemptsKeepBestResult) {
 }
 
 TEST(SvcExecutor, AlwaysTruncatedEndsTruncatedNotPoisoned) {
-  ExecutorConfig config;
-  config.retry.max_attempts = 2;
-  config.sleep_fn = [](double) {};
-  auto runner = [](const JobSpec&, const util::Deadline&) {
+  ServerConfig config = fleet([](const JobSpec&, const util::Deadline&) {
     return JobResult{70, true};
-  };
-  BatchExecutor executor(runner, config);
-  const BatchReport report = executor.run({simple_spec("t", 1)}, nullptr);
+  });
+  config.retry.max_attempts = 2;
+  config.hooks.sleep_fn = [](double) {};
+  const BatchReport report = run_batch({simple_spec("t", 1)}, config, nullptr);
   ASSERT_EQ(report.outcomes.size(), 1u);
   EXPECT_EQ(report.outcomes[0].status, JobStatus::kTruncated);
   EXPECT_TRUE(report.outcomes[0].truncated);
@@ -450,16 +454,14 @@ TEST(SvcExecutor, AlwaysTruncatedEndsTruncatedNotPoisoned) {
 }
 
 TEST(SvcExecutor, RetryTruncatedFalseAcceptsFirstResult) {
-  ExecutorConfig config;
-  config.retry.retry_truncated = false;
-  config.sleep_fn = [](double) {};
   std::atomic<int> calls{0};
-  auto runner = [&](const JobSpec&, const util::Deadline&) {
+  ServerConfig config = fleet([&](const JobSpec&, const util::Deadline&) {
     calls.fetch_add(1);
     return JobResult{70, true};
-  };
-  BatchExecutor executor(runner, config);
-  const BatchReport report = executor.run({simple_spec("t", 1)}, nullptr);
+  });
+  config.retry.retry_truncated = false;
+  config.hooks.sleep_fn = [](double) {};
+  const BatchReport report = run_batch({simple_spec("t", 1)}, config, nullptr);
   EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(report.outcomes[0].status, JobStatus::kTruncated);
   EXPECT_EQ(report.outcomes[0].attempts, 1);
@@ -468,51 +470,48 @@ TEST(SvcExecutor, RetryTruncatedFalseAcceptsFirstResult) {
 TEST(SvcExecutor, BudgetSecondsAttachesADeadline) {
   std::vector<JobSpec> manifest = {simple_spec("budgeted", 1)};
   manifest[0].budget_seconds = 0.05;
-  ExecutorConfig config;
-  config.retry.max_attempts = 1;
-  auto runner = [](const JobSpec&, const util::Deadline& deadline) {
+  ServerConfig config = fleet([](const JobSpec&,
+                                 const util::Deadline& deadline) {
     // A cooperative engine loop: unwinds when the budget expires.
     while (!deadline.expired()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return JobResult{5, true};
-  };
-  BatchExecutor executor(runner, config);
-  const BatchReport report = executor.run(manifest, nullptr);
+  });
+  config.retry.max_attempts = 1;
+  const BatchReport report = run_batch(manifest, config, nullptr);
   EXPECT_EQ(report.outcomes[0].status, JobStatus::kTruncated);
 }
 
 TEST(SvcExecutor, HangWatchdogCancelsStuckAttempts) {
-  ExecutorConfig config;
-  config.hang_seconds = 0.05;
-  config.retry.retry_truncated = false;
-  config.sleep_fn = [](double) {};
-  auto runner = [](const JobSpec&, const util::Deadline& deadline) {
+  ServerConfig config = fleet([](const JobSpec&,
+                                 const util::Deadline& deadline) {
     // Simulated hang: no internal budget, loops until the supervisor's
     // heartbeat watchdog flips the cancel flag.
     while (!deadline.expired()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return JobResult{1, true};
-  };
-  BatchExecutor executor(runner, config);
-  const BatchReport report = executor.run({simple_spec("stuck", 1)}, nullptr);
+  });
+  config.hang_seconds = 0.05;
+  config.retry.retry_truncated = false;
+  config.hooks.sleep_fn = [](double) {};
+  const BatchReport report =
+      run_batch({simple_spec("stuck", 1)}, config, nullptr);
   ASSERT_EQ(report.outcomes.size(), 1u);
   EXPECT_EQ(report.outcomes[0].status, JobStatus::kTruncated);
 }
 
 TEST(SvcExecutor, DrainStopsDispatchingButKeepsFinished) {
   std::atomic<bool> drain{false};
-  ExecutorConfig config;
+  ServerConfig config = fleet(scripted_runner);
   config.workers = 1;
-  config.drain = &drain;
-  config.fault_hook = [&](const JobSpec& spec, int) {
+  config.hooks.fault_hook = [&](const JobSpec& spec, int) {
     if (spec.id == "b") drain.store(true);  // raised mid-fleet
   };
-  BatchExecutor executor(scripted_runner, config);
-  const BatchReport report = executor.run(
+  const BatchReport report = run_batch(
       {simple_spec("a", 1), simple_spec("b", 2), simple_spec("c", 3)},
-      nullptr);
+      config, nullptr, &drain);
   // a and b finish (b was already claimed when the flag flipped); c is
   // abandoned, and the report says the fleet is incomplete.
   EXPECT_EQ(report.ok, 2);
@@ -531,16 +530,15 @@ TEST(SvcExecutor, HaltSimulatesKillAndResumeCompletes) {
   for (int j = 0; j < 6; ++j) {
     manifest.push_back(simple_spec("job" + std::to_string(j), 100 + j));
   }
+  ServerConfig config = fleet(scripted_runner);
+  config.workers = 2;
 
   // Fleet 1 "crashes" after 2 checkpointed outcomes: in-flight results
   // are discarded exactly as a kill -9 between claim and commit would.
   {
-    ExecutorConfig config;
-    config.workers = 2;
-    config.halt_after = 2;
     CheckpointJournal journal(path);
-    BatchExecutor executor(scripted_runner, config);
-    const BatchReport report = executor.run(manifest, &journal);
+    const BatchReport report =
+        run_batch(manifest, config, &journal, nullptr, 2);
     EXPECT_EQ(report.ok, 2);
     EXPECT_EQ(report.abandoned, 4);
     EXPECT_FALSE(report.complete());
@@ -552,11 +550,8 @@ TEST(SvcExecutor, HaltSimulatesKillAndResumeCompletes) {
 
   // Fleet 2 resumes: journaled jobs are skipped, the rest run, and the
   // merged journal has exactly one outcome per manifest job.
-  ExecutorConfig config;
-  config.workers = 2;
   CheckpointJournal journal(path);
-  BatchExecutor executor(scripted_runner, config);
-  const BatchReport report = executor.run(manifest, &journal);
+  const BatchReport report = run_batch(manifest, config, &journal);
   EXPECT_EQ(report.resumed, 2);
   EXPECT_EQ(report.ok, 6);
   EXPECT_TRUE(report.complete());
@@ -572,8 +567,8 @@ TEST(SvcExecutor, HaltSimulatesKillAndResumeCompletes) {
                                            "job4", "job5"}));
 
   // Bit-identical to an uninterrupted run, modulo order and timing.
-  BatchExecutor clean(scripted_runner, ExecutorConfig{});
-  const BatchReport uninterrupted = clean.run(manifest, nullptr);
+  const BatchReport uninterrupted =
+      run_batch(manifest, fleet(scripted_runner), nullptr);
   EXPECT_EQ(canonical_journal(merged),
             canonical_journal(uninterrupted.outcomes));
 }
@@ -583,21 +578,18 @@ TEST(SvcExecutor, ResumeSkipsJournaledJobsWithoutRerunningThem) {
   const std::string path = dir.file("journal.jsonl");
   std::vector<JobSpec> manifest = {simple_spec("a", 1), simple_spec("b", 2)};
   std::atomic<int> runs{0};
-  auto counting = [&](const JobSpec& spec, const util::Deadline& deadline) {
-    runs.fetch_add(1);
-    return scripted_runner(spec, deadline);
-  };
+  const ServerConfig counting =
+      fleet([&](const JobSpec& spec, const util::Deadline& deadline) {
+        runs.fetch_add(1);
+        return scripted_runner(spec, deadline);
+      });
   {
     CheckpointJournal journal(path);
-    ExecutorConfig config;
-    config.halt_after = 1;
-    BatchExecutor executor(counting, config);
-    executor.run(manifest, &journal);
+    run_batch(manifest, counting, &journal, nullptr, 1);
   }
   EXPECT_EQ(runs.load(), 1);
   CheckpointJournal journal(path);
-  BatchExecutor executor(counting, ExecutorConfig{});
-  const BatchReport report = executor.run(manifest, &journal);
+  const BatchReport report = run_batch(manifest, counting, &journal);
   EXPECT_EQ(runs.load(), 2);  // only the missing job ran
   EXPECT_EQ(report.resumed, 1);
   EXPECT_TRUE(report.complete());
@@ -613,8 +605,8 @@ TEST(SvcExecutor, JournaledOutcomeForUnknownJobIsIgnored) {
     journal.append(stray);
   }
   CheckpointJournal journal(path);
-  BatchExecutor executor(scripted_runner, ExecutorConfig{});
-  const BatchReport report = executor.run({simple_spec("a", 1)}, &journal);
+  const BatchReport report =
+      run_batch({simple_spec("a", 1)}, fleet(scripted_runner), &journal);
   EXPECT_EQ(report.resumed, 0);
   EXPECT_EQ(report.ok, 1);
   EXPECT_TRUE(report.complete());
@@ -639,15 +631,13 @@ TEST(SvcDeterminism, CanonicalJournalIdenticalAcrossWorkerCounts) {
     manifest.push_back(spec);
   }
 
-  ExecutorConfig one;
+  ServerConfig one = fleet(run_partition_job);
   one.workers = 1;
-  const BatchReport serial =
-      BatchExecutor(run_partition_job, one).run(manifest, nullptr);
+  const BatchReport serial = run_batch(manifest, one, nullptr);
 
-  ExecutorConfig two;
+  ServerConfig two = fleet(run_partition_job);
   two.workers = 2;
-  const BatchReport parallel =
-      BatchExecutor(run_partition_job, two).run(manifest, nullptr);
+  const BatchReport parallel = run_batch(manifest, two, nullptr);
 
   ASSERT_TRUE(serial.complete());
   ASSERT_TRUE(parallel.complete());
