@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
       std::remove(hgr_path.c_str());
     }
 
-    // --- Emit JSON (atomic rename, like bench_to_json).
+    // --- Emit JSON (atomic rename, so a killed run leaves no torn file).
     std::ostringstream out;
     out << "{\n"
         << "  \"format\": 1,\n"

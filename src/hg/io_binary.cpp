@@ -13,9 +13,11 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "hg/io_hmetis.hpp"
 #include "util/errors.hpp"
+#include "util/rng.hpp"
 
 namespace fixedpart::hg {
 
@@ -60,12 +62,8 @@ struct FixedEntry {
 static_assert(sizeof(FixedEntry) == 16);
 
 std::uint64_t fnv1a_64(const std::byte* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<std::uint64_t>(std::to_integer<unsigned char>(data[i]));
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return util::fnv1a(
+      std::string_view(reinterpret_cast<const char*>(data), size));
 }
 
 std::uint64_t align8(std::uint64_t n) { return (n + 7) & ~std::uint64_t{7}; }

@@ -7,6 +7,7 @@
 
 #include "obs/flight.hpp"
 #include "obs/registry.hpp"
+#include "util/rng.hpp"
 
 namespace fixedpart::obs {
 
@@ -74,12 +75,7 @@ std::string trace_events_to_json(const std::vector<TraceEvent>& events) {
 }
 
 std::uint64_t trace_id_for(const std::string& job_id) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : job_id) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return util::fnv1a(job_id);
 }
 
 PhaseBreakdown phase_breakdown(const std::vector<TraceEvent>& events) {

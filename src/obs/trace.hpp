@@ -11,7 +11,7 @@
 //      `run_supervised_job` attribute engine spans to a request with no
 //      call-site churn, how `fixedpart-worker` collects spans for
 //      streaming over the `'T'` frame (src/obs/trace_wire.hpp), and how
-//      a whole-run dump (bench_to_json --trace-out) captures one run.
+//      a benchmark's traced run captures a whole run.
 //   2. The always-on `FlightRecorder` ring (src/obs/flight.hpp).
 //
 // Timestamps come from one process-wide steady epoch (`trace_now_ns`);

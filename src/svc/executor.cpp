@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "part/balance.hpp"
 #include "util/errors.hpp"
+#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace fixedpart::svc {
@@ -31,41 +31,6 @@ std::int64_t steady_ms() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-namespace {
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Retry delay before attempt `next_attempt` (2-based): exponential in the
-/// retry index with a deterministic multiplicative jitter from the job id,
-/// so a rerun of the same manifest backs off identically.
-double backoff_seconds(const RetryPolicy& retry, const std::string& id,
-                       int next_attempt) {
-  const int retries_done = next_attempt - 2;  // 0 for the first retry
-  double delay = retry.backoff_base_seconds *
-                 std::ldexp(1.0, std::min(retries_done, 30));
-  delay = std::min(delay, retry.backoff_cap_seconds);
-  const std::uint64_t bits =
-      splitmix64(fnv1a(id) ^ static_cast<std::uint64_t>(next_attempt));
-  const double unit = static_cast<double>(bits >> 11) * 0x1.0p-53;
-  return delay * (1.0 + retry.jitter_fraction * unit);
-}
-
-}  // namespace
 
 JobOutcome run_supervised_job(const JobRunner& runner, const JobSpec& spec,
                               const RetryPolicy& retry, AttemptSlot& slot,
@@ -189,7 +154,13 @@ JobOutcome run_supervised_job(const JobRunner& runner, const JobSpec& spec,
                    {"error", error == ErrorClass::kNone ? "truncated"
                                                         : to_string(error)},
                    {"message", message}});
-    sleep_for(backoff_seconds(retry, spec.id, attempt + 1));
+    // Exponential in the retry index (0 for the first retry), jittered
+    // from (job id, next attempt), so a rerun of the same manifest backs
+    // off identically.
+    sleep_for(util::jittered_backoff_seconds(
+        retry.backoff_base_seconds, retry.backoff_cap_seconds,
+        retry.jitter_fraction, attempt - 1, spec.id,
+        static_cast<std::uint64_t>(attempt + 1)));
   }
   out.status = best->truncated ? JobStatus::kTruncated : JobStatus::kOk;
   out.error = ErrorClass::kNone;
@@ -307,7 +278,7 @@ void build_instance(InstanceEntry& entry, const JobSpec& spec,
   // The regime series and good reference must be shared by every job on
   // this instance (the paper's nested-series protocol), so their seeds
   // derive from the instance key, never from a job's seed.
-  util::Rng series_rng(splitmix64(fnv1a(key)));
+  util::Rng series_rng(util::splitmix64(util::fnv1a(key)));
   entry.series = std::make_unique<gen::FixedVertexSeries>(entry.graph, 2,
                                                           series_rng);
   entry.built = true;
@@ -319,7 +290,7 @@ const std::vector<hg::PartitionId>& good_reference(InstanceEntry& entry,
     const hg::FixedAssignment all_free(entry.graph.num_vertices(), 2);
     const ml::MultilevelPartitioner partitioner(entry.graph, all_free,
                                                 *entry.balance);
-    util::Rng rng(splitmix64(fnv1a(key) ^ 0x900dULL));
+    util::Rng rng(util::splitmix64(util::fnv1a(key) ^ 0x900dULL));
     entry.good_reference =
         partitioner.best_of(4, rng, engine_config()).assignment;
     entry.reference_built = true;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -17,26 +16,11 @@
 #include "obs/trace.hpp"
 #include "obs/trace_wire.hpp"
 #include "util/errors.hpp"
+#include "util/rng.hpp"
 
 namespace fixedpart::svc {
 
 namespace {
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 struct WorkerMetrics {
   obs::MetricId spawned, crashed, oom_kills, respawns, hang_kills;
@@ -158,17 +142,6 @@ void ProcessPool::reaper_loop() {
   }
 }
 
-double ProcessPool::respawn_backoff_locked(const std::string& id,
-                                           int streak) const {
-  double delay = config_.respawn_backoff_base_seconds *
-                 std::ldexp(1.0, std::min(streak - 1, 30));
-  delay = std::min(delay, config_.respawn_backoff_cap_seconds);
-  const std::uint64_t bits =
-      splitmix64(fnv1a(id) ^ static_cast<std::uint64_t>(streak));
-  const double unit = static_cast<double>(bits >> 11) * 0x1.0p-53;
-  return delay * (1.0 + config_.respawn_jitter_fraction * unit);
-}
-
 JobResult ProcessPool::attempt(const JobSpec& spec,
                                const util::Deadline& deadline) {
   auto& reg = obs::Registry::global();
@@ -179,7 +152,11 @@ JobResult ProcessPool::attempt(const JobSpec& spec,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (crash_streak_ > 0) {
-      backoff = respawn_backoff_locked(spec.id, crash_streak_);
+      backoff = util::jittered_backoff_seconds(
+          config_.respawn_backoff_base_seconds,
+          config_.respawn_backoff_cap_seconds,
+          config_.respawn_jitter_fraction, crash_streak_ - 1, spec.id,
+          static_cast<std::uint64_t>(crash_streak_));
       ++stats_.respawns;
     }
   }

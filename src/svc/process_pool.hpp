@@ -137,7 +137,6 @@ class ProcessPool {
   };
 
   void reaper_loop();
-  double respawn_backoff_locked(const std::string& id, int streak) const;
 
   ProcessPoolConfig config_;
 

@@ -20,26 +20,11 @@
 #include "obs/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/errors.hpp"
+#include "util/rng.hpp"
 
 namespace fixedpart::svc {
 
 namespace {
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::string hex64(std::uint64_t value) {
   char buf[17];
@@ -356,11 +341,9 @@ void PartitionServer::start() {
   }
   if (!config_.journal_path.empty()) {
     journal_ = std::make_unique<LineJournal>(config_.journal_path);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      replay_journal();
-    }
-    compact_journal_if_due();
+    std::lock_guard<std::mutex> lock(mu_);
+    replay_journal();
+    compact_journal_if_due_locked();
   }
   slots_.clear();
   for (int i = 0; i < config_.workers; ++i) {
@@ -478,10 +461,19 @@ void PartitionServer::worker_loop(AttemptSlot& slot) {
 
 void PartitionServer::finish_job(const std::shared_ptr<ServerJob>& job,
                                  JobOutcome outcome) {
-  std::string done_line;
+  // The done event reuses the outcome serialization; the accept line
+  // already carries the spec, so (accept, done) replays to this state.
+  const std::string done_line =
+      "{\"event\": \"done\", " + to_json_line(outcome).substr(1);
   JobOutcome committed;  // on_commit's copy, taken under mu_
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Durable before it is visible, like the accept line (lock order
+    // mu_ -> journal_mu_): a client that sees the job done and resubmits
+    // journals its accept after this line and after any compaction the
+    // line makes due, so compaction points depend only on the order of
+    // events, never on thread timing.
+    journal_append(done_line);
     job->slot = nullptr;
     running_.erase(std::remove(running_.begin(), running_.end(), job),
                    running_.end());
@@ -527,14 +519,9 @@ void PartitionServer::finish_job(const std::shared_ptr<ServerJob>& job,
                     {"status", to_string(job->outcome.status)},
                     {"cut", static_cast<std::int64_t>(job->outcome.cut)},
                     {"seconds", job->outcome.seconds}});
-    // The done event reuses the outcome serialization; the accept line
-    // already carries the spec, so (accept, done) replays to this state.
-    done_line =
-        "{\"event\": \"done\", " + to_json_line(job->outcome).substr(1);
     if (config_.on_commit) committed = job->outcome;
+    compact_journal_if_due_locked();
   }
-  journal_append(done_line);
-  compact_journal_if_due();
   if (config_.on_commit) config_.on_commit(committed);
 }
 
@@ -602,26 +589,23 @@ void PartitionServer::supervisor_loop() {
   reg.set(server_metrics().heartbeat_age, 0.0);
 }
 
-void PartitionServer::compact_journal_if_due() {
-  const auto due = [this] {
-    return journal_ != nullptr && config_.journal_compact_every > 0 &&
-           appended_since_compact_.load(std::memory_order_acquire) >=
-               config_.journal_compact_every;
-  };
-  if (!due()) return;
+void PartitionServer::compact_journal_if_due_locked() {
+  if (journal_ == nullptr || config_.journal_compact_every <= 0 ||
+      appended_since_compact_.load(std::memory_order_acquire) <
+          config_.journal_compact_every) {
+    return;
+  }
   // Rewrite the journal to exactly the lines that reconstruct the live
   // job map: per job (in admission order) an accept line, its done line
   // if finished, its cancel line if cancelled. Everything evicted from
   // the done-map is dropped — those ids answer 404 either way, so the
   // journal stays bounded by done_capacity + queued + running instead of
-  // lifetime traffic. Holding mu_ across the rewrite (lock order mu_ ->
-  // journal_mu_) means any done line already appended is also in the
-  // rebuilt state; a finish_job racing the gap between its commit and
-  // its append at worst duplicates a done line, which replay treats
-  // idempotently. mu_ also serializes compactions: a commit that waited
-  // here behind another one's rewrite finds nothing due any more.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!due()) return;
+  // lifetime traffic. The caller holds mu_ across the rewrite (lock
+  // order mu_ -> journal_mu_), so every accept and done line already
+  // appended is also in the rebuilt state: both are appended under mu_
+  // with the state they describe. A cancel racing the gap between its
+  // state change and its append at worst duplicates its cancel line,
+  // which replay treats idempotently. mu_ also serializes compactions.
   std::vector<std::shared_ptr<ServerJob>> by_seq;
   by_seq.reserve(jobs_.size());
   for (const auto& [id, job] : jobs_) by_seq.push_back(job);
@@ -823,8 +807,8 @@ SubmitResult PartitionServer::submit(const std::string& body,
     // Round-trip re-parse so range violations on the query-override path
     // fail with the manifest parser's diagnostics.
     spec = parse_spec_line(to_json_line(spec));
-    const std::uint64_t h1 = fnv1a(key_material);
-    const std::uint64_t h2 = splitmix64(h1 ^ key_material.size());
+    const std::uint64_t h1 = util::fnv1a(key_material);
+    const std::uint64_t h2 = util::splitmix64(h1 ^ key_material.size());
     spec.id = hex64(h1) + hex64(h2);
     if (!upload.empty()) {
       spec.instance = config_.spool_dir + "/" + spec.id + upload_ext;

@@ -200,9 +200,10 @@ class PartitionServer {
   void finish_job(const std::shared_ptr<ServerJob>& job, JobOutcome outcome);
   void journal_append(const std::string& line);
   void replay_journal();
-  /// Compacts once journal_compact_every appends have accumulated; runs
-  /// on the commit path (and after replay), one thread at a time.
-  void compact_journal_if_due();
+  /// Compacts once journal_compact_every appends have accumulated. Runs
+  /// under mu_, on the commit path before the job is visible as done
+  /// (and in start(), after a long replay).
+  void compact_journal_if_due_locked();
   std::string job_json_locked(const ServerJob& job) const;
   double retry_after_locked() const;
 

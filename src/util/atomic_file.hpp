@@ -3,8 +3,9 @@
 // under `path` via write-temp + flush(+fsync) + atomic rename, so readers
 // never observe a truncated or half-written file: they see either the old
 // content or the new content, even if the writer dies mid-write. Used by
-// the svc checkpoint journal (compaction and summaries) and by
-// bench/bench_to_json for the tracked BENCH_*.json trajectory files.
+// the svc checkpoint journal (compaction and summaries), the server's
+// upload spool, the metrics exporter, flight-recorder dumps and
+// bench/bench_large's JSON snapshot.
 
 #include <cstdio>
 #include <string>

@@ -1,20 +1,40 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
 namespace fixedpart::util {
 
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+double jittered_backoff_seconds(double base_seconds, double cap_seconds,
+                                double jitter_fraction, int step,
+                                std::string_view key, std::uint64_t salt) {
+  const double delay =
+      std::min(base_seconds * std::ldexp(1.0, std::min(step, 30)),
+               cap_seconds);
+  const std::uint64_t bits = splitmix64(fnv1a(key) ^ salt);
+  const double unit = static_cast<double>(bits >> 11) * 0x1.0p-53;
+  return delay * (1.0 + jitter_fraction * unit);
+}
+
+namespace {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -23,8 +43,12 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
+  // The SplitMix64 stream from `seed`: word i mixes seed + i * gamma.
   std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
+  for (auto& word : state_) {
+    word = splitmix64(s);
+    s += kSplitMix64Gamma;
+  }
   // A zero state would be a fixed point of the generator.
   if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) {
     state_[0] = 1;
@@ -96,8 +120,7 @@ Rng Rng::stream(std::uint64_t seed, std::uint64_t stream) {
   // Mix the stream index through SplitMix64 before combining so that
   // consecutive indices land on unrelated seeds (seed ^ stream alone would
   // make streams 2k/2k+1 of seed 0/1 collide pairwise).
-  std::uint64_t s = stream ^ 0xa0761d6478bd642fULL;
-  const std::uint64_t mixed = splitmix64(s);
+  const std::uint64_t mixed = splitmix64(stream ^ 0xa0761d6478bd642fULL);
   Rng child;
   child.reseed(seed ^ mixed);
   return child;

@@ -6,14 +6,38 @@
 // a (seed, code path) pair fully determines the outcome on every platform.
 // std::mt19937 + distribution objects are deliberately avoided: the standard
 // distributions are implementation-defined and would make experiment results
-// differ across standard libraries.
+// differ across standard libraries. The FNV-1a hash and SplitMix64 mixer
+// below derive job ids, trace ids, seeds and retry jitter from strings.
 
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace fixedpart::util {
+
+/// SplitMix64 increment (the 64-bit golden ratio).
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+/// One SplitMix64 output for state `x`: mix(x + kSplitMix64Gamma). The
+/// seed expander of Rng, and the mixer that turns a hash into a seed, a
+/// job id half or a jitter draw.
+std::uint64_t splitmix64(std::uint64_t x);
+
+/// 64-bit FNV-1a of `bytes`. Job ids, trace ids, per-instance series
+/// seeds and the .fpbin payload checksum all derive from it, so its
+/// output is part of the .fpbin format and of every journaled job id.
+std::uint64_t fnv1a(std::string_view bytes);
+
+/// Capped exponential backoff with deterministic jitter:
+/// min(base * 2^min(step, 30), cap), stretched by a factor in
+/// [1, 1 + jitter_fraction) drawn from splitmix64(fnv1a(key) ^ salt), so
+/// the same (key, salt) waits the same time on every run and host. The
+/// supervisor's retry delay and the process pool's respawn delay.
+double jittered_backoff_seconds(double base_seconds, double cap_seconds,
+                                double jitter_fraction, int step,
+                                std::string_view key, std::uint64_t salt);
 
 /// xoshiro256** by Blackman/Vigna, seeded via SplitMix64. Fast, 256-bit
 /// state, passes BigCrush; sufficient for all experiment randomization.
@@ -21,7 +45,7 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
+  explicit Rng(std::uint64_t seed = kSplitMix64Gamma) { reseed(seed); }
 
   /// Reset the state from a 64-bit seed (expanded by SplitMix64).
   void reseed(std::uint64_t seed);

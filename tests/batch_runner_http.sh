@@ -7,7 +7,10 @@
 # Also requires the periodic --metrics-out files to exist afterwards.
 #
 # Usage: batch_runner_http.sh /path/to/batch_runner
-set -euo pipefail
+set -Eeuo pipefail
+# Name the failing step: -E carries the trap into functions and command
+# substitutions, where a bare set -e exit would otherwise be silent.
+trap 'echo "FAIL: line $LINENO: $BASH_COMMAND" >&2' ERR
 
 runner=${1:?usage: batch_runner_http.sh /path/to/batch_runner}
 workdir=$(mktemp -d)

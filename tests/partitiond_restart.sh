@@ -13,7 +13,10 @@
 #   5. SIGTERM drains the daemon: it must exit 0.
 #
 # Usage: partitiond_restart.sh /path/to/partitiond
-set -euo pipefail
+set -Eeuo pipefail
+# Name the failing step: -E carries the trap into functions and command
+# substitutions, where a bare set -e exit would otherwise be silent.
+trap 'echo "FAIL: line $LINENO: $BASH_COMMAND" >&2' ERR
 
 daemon=${1:?usage: partitiond_restart.sh /path/to/partitiond}
 workdir=$(mktemp -d)

@@ -24,7 +24,10 @@
 #      pid) with the daemon's own supervision spans (pid 1).
 #
 # Usage: partitiond_worker_crash.sh /path/to/partitiond /path/to/fixedpart-worker
-set -euo pipefail
+set -Eeuo pipefail
+# Name the failing step: -E carries the trap into functions and command
+# substitutions, where a bare set -e exit would otherwise be silent.
+trap 'echo "FAIL: line $LINENO: $BASH_COMMAND" >&2' ERR
 
 daemon=${1:?usage: partitiond_worker_crash.sh /path/to/partitiond /path/to/fixedpart-worker}
 worker=${2:?usage: partitiond_worker_crash.sh /path/to/partitiond /path/to/fixedpart-worker}

@@ -1,10 +1,12 @@
 // The behaviour contract (ctest label: contract): the serial multistart
 // best cuts that every engine change must hold, or re-baseline on purpose
-// with equal or better cuts. The configuration is bench_to_json's
-// ml_multistart_* scenario: an IBM-profile circuit at default scale, no
-// fixed vertices, 2% relative balance, seed 0xBE9C, and 8 sequential
-// MultilevelPartitioner::run starts with the default MultilevelConfig.
-// The 200k-cell streamed cut (9800) is pinned by tests/large_scale.sh.
+// with equal or better cuts. The configuration is the paper's multistart
+// protocol as perfbench's sweep-fixed workload pins it (cut_ibm0X_ms8):
+// an IBM-profile circuit at default scale, no fixed vertices, 2% relative
+// balance, seed 0xBE9C, and 8 sequential MultilevelPartitioner::run
+// starts with the default MultilevelConfig. The 200k-cell streamed cut
+// (9800) is pinned by tests/large_scale.sh, and the canonical journal of
+// a generated batch fleet by tests/canonical_journal.sh.
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,9 @@
 // Per-job distributed tracing (ctest -L trace; docs/OBSERVABILITY.md
 // "Traces"): the trace-context stack, the bounded per-job SpanBuffer and
 // its drop accounting, the interned/owned-name safety of ScopedSpan, the
-// 'T' span-frame wire codec under a seeded corruption battery, and the
-// always-on flight recorder (concurrent shards, current_phase, dumps).
+// phase spans a real multilevel multistart records, the 'T' span-frame
+// wire codec under a seeded corruption battery, and the always-on flight
+// recorder (concurrent shards, current_phase, dumps).
 // The concurrency tests here are part of the TSan matrix in
 // scripts/check.sh.
 
@@ -13,16 +14,23 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fault_inject.hpp"
+#include "gen/netlist_gen.hpp"
+#include "gen/suite.hpp"
+#include "hg/fixed.hpp"
+#include "ml/multilevel.hpp"
 #include "obs/flight.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_wire.hpp"
+#include "part/balance.hpp"
+#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace fixedpart {
@@ -120,6 +128,64 @@ TEST(TraceContext, SpansOutsideAnyContextAreSafe) {
   // crash or leak.
   obs::ScopedSpan span("orphan.span");
   span.arg("k", std::int64_t{1});
+}
+
+struct MultistartTotals {
+  hg::Weight best_cut = 0;
+  std::int64_t moves = 0;
+  std::int32_t passes = 0;
+};
+
+// Two default-config multilevel starts, no fixed vertices, 2% relative
+// balance, fixed seed: the paper's multistart protocol in miniature.
+MultistartTotals run_multistart(const hg::Hypergraph& graph) {
+  const hg::FixedAssignment fixed(graph.num_vertices(), 2);
+  const auto balance = part::BalanceConstraint::relative(graph, 2, 2.0);
+  const ml::MultilevelPartitioner partitioner(graph, fixed, balance);
+  util::Rng rng(0xBE9C);
+  const ml::MultilevelConfig config;
+  MultistartTotals totals;
+  for (int start = 0; start < 2; ++start) {
+    const ml::MultilevelResult result = partitioner.run(rng, config);
+    if (start == 0 || result.cut < totals.best_cut) {
+      totals.best_cut = result.cut;
+    }
+    totals.moves += result.total_moves;
+    totals.passes += result.total_passes;
+  }
+  return totals;
+}
+
+TEST(TraceContext, MultilevelRunRecordsEveryPhaseSpan) {
+  const gen::GeneratedCircuit circuit =
+      gen::generate_circuit(gen::ibm_like_spec(1, util::Scale::kSmoke));
+  const MultistartTotals untraced = run_multistart(circuit.graph);
+  ASSERT_GT(untraced.moves, 0);
+
+  obs::SpanBuffer buffer;
+  MultistartTotals traced;
+  {
+    obs::ScopedTraceContext context(obs::trace_id_for("multistart"),
+                                    &buffer);
+    traced = run_multistart(circuit.graph);
+  }
+  // Tracing observes the run; it must not steer it.
+  EXPECT_EQ(traced.best_cut, untraced.best_cut);
+  EXPECT_EQ(traced.moves, untraced.moves);
+  EXPECT_EQ(traced.passes, untraced.passes);
+
+  EXPECT_EQ(buffer.dropped(), 0u);
+  const std::vector<obs::TraceEvent> events = buffer.events();
+  std::set<std::string> names;
+  for (const obs::TraceEvent& event : events) names.insert(event.name);
+  for (const char* phase : {"ml.coarsen_level", "ml.initial", "ml.project",
+                            "ml.refine_level", "fm.pass"}) {
+    EXPECT_EQ(names.count(phase), 1u) << "no " << phase << " span";
+  }
+  const obs::PhaseBreakdown breakdown = obs::phase_breakdown(events);
+  EXPECT_GT(breakdown.coarsen_seconds, 0.0);
+  EXPECT_GT(breakdown.initial_seconds, 0.0);
+  EXPECT_GT(breakdown.refine_seconds, 0.0);
 }
 
 TEST(SpanBuffer, BoundedWithDropAccounting) {
